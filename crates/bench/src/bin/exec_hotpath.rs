@@ -1,21 +1,19 @@
-//! Measures what the compile-once/execute-many split buys on the
-//! executor hot path.
+//! Measures the executor hot path: the parity corpus run from prepared
+//! (parsed and compiled) queries.
 //!
-//! Every query of the 58-query parity corpus is parsed and slot-compiled
+//! Every query of the 59-query parity corpus is parsed and slot-compiled
 //! exactly once up front, then executed many times — the steady state a
-//! plan-cached server lives in. Three arms, median-of-passes and
-//! interleaved so drift hits all of them:
+//! plan-cached server lives in. Two arms, median-of-passes and
+//! interleaved so drift hits both:
 //!
-//! 1. **interpreted** — compilation disabled, 1 worker (the pre-PR path)
-//! 2. **compiled** — slot-compiled pipeline, 1 worker
-//! 3. **parallel** — slot-compiled pipeline, all available cores
+//! 1. **compiled** — 1 worker
+//! 2. **parallel** — morsel-parallel `MATCH` on all available cores
 //!
-//! The headline number is `compiled` vs `interpreted` at 1 worker: the
-//! speedup from compilation alone, with parallelism out of the picture.
-//! The target is ≥1.5x; the hard gate is a generous 1.2x so a noisy CI
-//! container doesn't flake. Results are asserted byte-identical across
-//! all arms before any timing is trusted, and the measured numbers are
-//! written to `BENCH_exec.json` at the repository root.
+//! The gate is the parallel speedup over 1 worker (≥1.1x), enforced only
+//! when more than one core is available. Results are asserted
+//! byte-identical across the arms before any timing is trusted, and the
+//! measured numbers are written to `BENCH_exec.json` at the repository
+//! root.
 //!
 //! ```text
 //! cargo run --release -p chatiyp-bench --bin exec_hotpath [-- PASSES]
@@ -68,46 +66,36 @@ fn main() {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let interpreted = ExecLimits::none().with_compiled(false);
     let compiled = ExecLimits::none();
     let parallel = ExecLimits::none().with_parallelism(workers);
 
-    // Correctness before speed: all three arms must agree byte-for-byte.
+    // Correctness before speed: both arms must agree byte-for-byte.
     let params = Params::new();
     for (q, c) in &prepared {
-        let a = execute_prepared_with_limits(&graph, q, Some(c), &params, interpreted);
         let b = execute_prepared_with_limits(&graph, q, Some(c), &params, compiled);
         let p = execute_prepared_with_limits(&graph, q, Some(c), &params, parallel);
-        assert_eq!(a, b, "compiled result diverged from interpreted");
         assert_eq!(b, p, "parallel result diverged from sequential");
     }
 
-    // Warm every arm (allocator, caches) before measuring.
-    pass(&graph, &prepared, interpreted);
+    // Warm both arms (allocator, caches) before measuring.
     pass(&graph, &prepared, compiled);
     pass(&graph, &prepared, parallel);
 
-    let mut t_interp = Vec::with_capacity(passes);
     let mut t_compiled = Vec::with_capacity(passes);
     let mut t_parallel = Vec::with_capacity(passes);
     for _ in 0..passes {
-        t_interp.push(pass(&graph, &prepared, interpreted));
         t_compiled.push(pass(&graph, &prepared, compiled));
         t_parallel.push(pass(&graph, &prepared, parallel));
     }
-    let m_interp = median(&mut t_interp);
     let m_compiled = median(&mut t_compiled);
     let m_parallel = median(&mut t_parallel);
-    let speedup = m_interp / m_compiled;
     let parallel_speedup = m_compiled / m_parallel;
 
     println!("corpus queries:        {}", prepared.len());
     println!("passes:                {passes} (median)");
     println!("available cores:       {workers}");
-    println!("interpreted, 1 worker: {:.3}ms", m_interp * 1e3);
     println!("compiled,    1 worker: {:.3}ms", m_compiled * 1e3);
     println!("compiled, {workers:>2} workers: {:.3}ms", m_parallel * 1e3);
-    println!("compile speedup:       {speedup:.2}x (target >=1.5x)");
     if workers == 1 {
         println!(
             "parallel speedup:      {parallel_speedup:.2}x — NOT MEANINGFUL: \
@@ -123,10 +111,8 @@ fn main() {
         "passes": passes as u64,
         "workers": workers as u64,
         "available_parallelism": workers as u64,
-        "interpreted_ms": m_interp * 1e3,
         "compiled_ms": m_compiled * 1e3,
         "parallel_ms": m_parallel * 1e3,
-        "compile_speedup": speedup,
         "parallel_speedup": parallel_speedup,
         // On a 1-core container the parallel arm cannot beat sequential;
         // readers of this file must not treat ~1.0x as a regression.
@@ -140,11 +126,6 @@ fn main() {
     .expect("BENCH_exec.json writes");
     println!("wrote {out}");
 
-    // Generous gate: the target is 1.5x, but CI containers are noisy.
-    assert!(
-        speedup >= 1.2,
-        "compile speedup {speedup:.2}x is below the 1.2x hard floor"
-    );
     // The parallel gate only means something with real cores to fan out
     // to; on a 1-core container it is skipped, not silently "passed" at
     // ~1.0x.

@@ -303,7 +303,7 @@ impl QueryCache {
         params: &Params,
         limits: ExecLimits,
     ) -> Result<Arc<QueryResult>, CypherError> {
-        let compiled = prepared.compiled.as_deref();
+        let compiled = Some(prepared.compiled.as_ref());
         let Some(t) = &self.timers else {
             return Ok(Arc::new(iyp_cypher::execute_prepared_with_limits(
                 snap.graph(),

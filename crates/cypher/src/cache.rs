@@ -15,7 +15,7 @@
 //! same query text" means.
 
 use crate::ast::Query;
-use crate::compile::{compile_query, CompiledQuery};
+use crate::compile::{compile, CompiledQuery};
 use crate::error::CypherError;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -155,9 +155,8 @@ pub struct PlanCacheStats {
     pub misses: u64,
     /// Entries dropped to make room.
     pub evictions: u64,
-    /// Queries successfully lowered to compiled form on a cache miss.
-    /// Misses minus compiled = queries running interpreted (write
-    /// statements and constructs outside the compiler's subset).
+    /// Queries lowered to compiled form on a cache miss. Lowering is
+    /// total, so this equals `misses`.
     pub compiled: u64,
     /// Live entries.
     pub len: usize,
@@ -166,14 +165,13 @@ pub struct PlanCacheStats {
 }
 
 /// A parsed query together with its compiled form, as cached by
-/// [`PlanCache::prepare`]. `compiled` is `None` when the query is outside
-/// the compiler's subset; execution then runs interpreted.
+/// [`PlanCache::prepare`].
 #[derive(Debug, Clone)]
 pub struct Prepared {
     /// The parsed AST.
     pub query: Arc<Query>,
-    /// The compiled pipeline, when the query is compilable.
-    pub compiled: Option<Arc<CompiledQuery>>,
+    /// The compiled pipeline.
+    pub compiled: Arc<CompiledQuery>,
 }
 
 /// A bounded, thread-safe cache of parsed queries keyed by normalized
@@ -214,8 +212,7 @@ impl PlanCache {
 
     /// Returns the parsed *and compiled* form of `src`, parsing and
     /// compiling at most once per normalized text while the entry stays
-    /// resident. Uncompilable queries cache `compiled: None` so repeat
-    /// executions skip the compilation attempt too.
+    /// resident.
     pub fn prepare(&self, src: &str) -> Result<Prepared, CypherError> {
         let key = normalize_query(src);
         if let Some(p) = self.lock().get(&key) {
@@ -224,10 +221,8 @@ impl PlanCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let parsed = Arc::new(crate::parser::parse(src)?);
-        let compiled = compile_query(&parsed).map(Arc::new);
-        if compiled.is_some() {
-            self.compiled.fetch_add(1, Ordering::Relaxed);
-        }
+        let compiled = Arc::new(compile(&parsed));
+        self.compiled.fetch_add(1, Ordering::Relaxed);
         let prepared = Prepared {
             query: parsed,
             compiled,

@@ -1,38 +1,32 @@
-//! Compile-once, execute-many: lowering parsed queries to a slot-resolved
-//! form executed without per-row string work.
+//! Compile-once, execute-many: lowering parsed queries to the slot-resolved
+//! form the executor runs.
 //!
 //! [`compile_expr`] lowers an AST [`Expr`] to a [`CompiledExpr`]: variable
 //! names become row-slot indices resolved once against the environment,
 //! literal subtrees are constant-folded (only when pure evaluation
-//! succeeds, so lazily-reached runtime errors stay lazy), and evaluation
-//! ([`CEvalCtx`]) mirrors the interpreted evaluator exactly — same values,
-//! same error messages, same short-circuiting.
+//! succeeds, so lazily-reached runtime errors stay lazy), and [`Evaluator`]
+//! evaluates the result with three-valued logic and short-circuiting.
 //!
 //! [`compile_query`] lowers a whole parsed query to a [`CompiledQuery`]:
-//! one compiled operator per clause, aligned with the interpreter's
-//! pipeline, produced by simulating the environment the executor will
-//! build (environment evolution is a pure function of the AST). Anything
-//! the compiler cannot express — `exists(pattern)` predicates, write
-//! clauses, projections the interpreter rejects — returns `None` and the
-//! executor falls back to the interpreted pipeline, so compilation is
-//! strictly a performance layer, never a semantics change.
+//! one compiled operator per clause, produced by simulating the environment
+//! the executor will build (environment evolution is a pure function of
+//! the AST). Lowering is total: every clause, `exists(pattern)` and every
+//! write clause compile. Plan errors (`RETURN` before the final clause, an
+//! empty projection, aggregates in `WITH … WHERE`) are carried into the
+//! compiled operator and raised when execution reaches it, so a query's
+//! earlier clauses run — and their effects and errors happen — first.
 
 use crate::ast::{
-    is_aggregate_fn, BinOp, Clause, Expr, MatchClause, ProjectionClause, ProjectionItem, Query,
-    UnOp,
+    is_aggregate_fn, BinOp, Clause, Expr, MatchClause, NodePattern, PatternPart, ProjectionClause,
+    ProjectionItem, Query, RelDir, SetItem, UnOp,
 };
 use crate::error::CypherError;
 use crate::eval::{self, Entry, Env, Params, Row};
-use crate::exec::union::split_segments;
-use iyp_graphdb::{Graph, Value};
+use iyp_graphdb::{Direction, Graph, NodeId, Value};
 use std::collections::BTreeMap;
 
-/// Marker for an expression or clause the compiler cannot lower; the
-/// whole query falls back to the interpreted pipeline.
-pub(crate) struct Unsupported;
-
 /// A compiled expression: variables resolved to row slots, constants
-/// folded. Produced by [`compile_expr`], evaluated by [`CEvalCtx`].
+/// folded. Produced by [`compile_expr`], evaluated by [`Evaluator`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledExpr(pub(crate) CExpr);
 
@@ -46,8 +40,7 @@ pub(crate) enum CExpr {
     Slot(usize),
     /// Comprehension-bound variable resolved to a locals-stack index.
     Local(usize),
-    /// A variable not bound anywhere at compile time; errors at eval with
-    /// the interpreter's message.
+    /// A variable not bound anywhere at compile time; errors at eval.
     Unbound(String),
     Param(String),
     Prop(Box<CExpr>, String),
@@ -58,13 +51,14 @@ pub(crate) enum CExpr {
     Neg(Box<CExpr>),
     IsNull(Box<CExpr>, bool),
     ExistsProp(Box<CExpr>, String),
+    /// `exists(pattern)`.
+    ExistsPattern(Box<CPattern>),
     /// Non-aggregate function call.
     Call {
         name: String,
         args: Vec<CExpr>,
     },
-    /// Aggregate call outside a projection rewrite: always errors at eval
-    /// with the interpreter's message.
+    /// Aggregate call outside a projection rewrite: always errors at eval.
     AggErr(String),
     Star,
     List(Vec<CExpr>),
@@ -81,45 +75,116 @@ pub(crate) enum CExpr {
     },
 }
 
-/// Compiles `expr` against the environment, resolving variable names to
-/// row slots and folding constant subtrees. Returns `None` when the
-/// expression contains a construct the compiler cannot lower
-/// (`exists(pattern)`); callers then use the interpreted evaluator.
-pub fn compile_expr(env: &Env, expr: &Expr) -> Option<CompiledExpr> {
-    let mut locals = Vec::new();
-    compile_scoped(&env.names, &mut locals, expr)
-        .ok()
-        .map(CompiledExpr)
+/// A compiled `exists(pattern)`: the chain as written and reversed, so
+/// evaluation can start from whichever endpoint the row binds.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CPattern {
+    forward: CChain,
+    reversed: CChain,
 }
 
-pub(crate) fn compile_scoped(
-    env: &[String],
-    locals: &mut Vec<String>,
-    expr: &Expr,
-) -> Result<CExpr, Unsupported> {
-    let out = match expr {
+#[derive(Debug, Clone, PartialEq)]
+struct CChain {
+    start: CPatNode,
+    hops: Vec<(CPatRel, CPatNode)>,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct CPatNode {
+    /// The node's variable, resolved like any variable reference.
+    var: Option<CExpr>,
+    labels: Vec<String>,
+    props: Vec<(String, CExpr)>,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct CPatRel {
+    types: Vec<String>,
+    dir: Direction,
+    single: bool,
+    props: Vec<(String, CExpr)>,
+}
+
+pub(crate) fn direction(dir: RelDir) -> Direction {
+    match dir {
+        RelDir::Right => Direction::Outgoing,
+        RelDir::Left => Direction::Incoming,
+        RelDir::Undirected => Direction::Both,
+    }
+}
+
+fn compile_pattern_node(env: &[String], locals: &mut Vec<String>, n: &NodePattern) -> CPatNode {
+    CPatNode {
+        var: n.var.as_ref().map(|v| resolve_var(env, locals, v)),
+        labels: n.labels.clone(),
+        props: compile_props(env, locals, &n.props),
+    }
+}
+
+fn compile_pattern(env: &[String], locals: &mut Vec<String>, part: &PatternPart) -> CPattern {
+    let mut nodes = vec![compile_pattern_node(env, locals, &part.start)];
+    let mut rels = Vec::with_capacity(part.hops.len());
+    for (r, n) in &part.hops {
+        nodes.push(compile_pattern_node(env, locals, n));
+        rels.push(CPatRel {
+            types: r.types.clone(),
+            dir: direction(r.dir),
+            single: r.hops.is_single(),
+            props: compile_props(env, locals, &r.props),
+        });
+    }
+    // `rels[i]` joins `nodes[i]` and `nodes[i + 1]`. Reversed: the last
+    // node first, then each relationship, flipped, leading back to the
+    // node before it.
+    let reversed = CChain {
+        start: nodes.last().expect("a start node").clone(),
+        hops: rels
+            .iter()
+            .zip(&nodes)
+            .rev()
+            .map(|(r, n)| {
+                let flipped = CPatRel {
+                    dir: r.dir.reverse(),
+                    ..r.clone()
+                };
+                (flipped, n.clone())
+            })
+            .collect(),
+    };
+    let start = nodes.remove(0);
+    let forward = CChain {
+        start,
+        hops: rels.into_iter().zip(nodes).collect(),
+    };
+    CPattern { forward, reversed }
+}
+
+/// Compiles `expr` against the environment, resolving variable names to
+/// row slots and folding constant subtrees.
+pub fn compile_expr(env: &Env, expr: &Expr) -> CompiledExpr {
+    CompiledExpr(compile_scoped(&env.names, &mut Vec::new(), expr))
+}
+
+/// Compiles `expr` against an environment given as slot-ordered names,
+/// with `locals` the comprehension variables in scope (innermost last).
+pub(crate) fn compile_scoped(env: &[String], locals: &mut Vec<String>, expr: &Expr) -> CExpr {
+    match expr {
         Expr::Lit(v) => CExpr::Const(v.clone()),
-        Expr::Var(name) => match locals.iter().rposition(|n| n == name) {
-            Some(i) => CExpr::Local(i),
-            None => match env.iter().position(|n| n == name) {
-                Some(i) => CExpr::Slot(i),
-                None => CExpr::Unbound(name.clone()),
-            },
-        },
+        Expr::Var(name) => resolve_var(env, locals, name),
         Expr::Param(name) => CExpr::Param(name.clone()),
-        Expr::Prop(base, key) => fold_prop(compile_scoped(env, locals, base)?, key.clone()),
+        Expr::Prop(base, key) => fold_prop(compile_scoped(env, locals, base), key.clone()),
         Expr::Index(base, idx) => {
-            let base = compile_scoped(env, locals, base)?;
-            let idx = compile_scoped(env, locals, idx)?;
+            let base = compile_scoped(env, locals, base);
+            let idx = compile_scoped(env, locals, idx);
             match (&base, &idx) {
                 (CExpr::Const(b), CExpr::Const(i)) => CExpr::Const(eval::index_value(b, i)),
                 _ => CExpr::Index(Box::new(base), Box::new(idx)),
             }
         }
         Expr::Slice(base, lo, hi) => {
-            let base = compile_scoped(env, locals, base)?;
-            let lo = opt_compile(env, locals, lo.as_deref())?;
-            let hi = opt_compile(env, locals, hi.as_deref())?;
+            let base = compile_scoped(env, locals, base);
+            let lo = opt_compile(env, locals, lo.as_deref());
+            let hi = opt_compile(env, locals, hi.as_deref());
             match (&base, &lo, &hi) {
                 (CExpr::Const(b), lo, hi) if all_const(lo) && all_const(hi) => {
                     CExpr::Const(eval::slice_value(b, const_of(lo), const_of(hi)))
@@ -128,12 +193,12 @@ pub(crate) fn compile_scoped(
             }
         }
         Expr::Bin(op, a, b) => {
-            let a = compile_scoped(env, locals, a)?;
-            let b = compile_scoped(env, locals, b)?;
+            let a = compile_scoped(env, locals, a);
+            let b = compile_scoped(env, locals, b);
             fold_bin(*op, a, b)
         }
         Expr::Un(UnOp::Not, a) => {
-            let a = compile_scoped(env, locals, a)?;
+            let a = compile_scoped(env, locals, a);
             match &a {
                 CExpr::Const(v) => match not_value(v) {
                     Ok(out) => CExpr::Const(out),
@@ -143,7 +208,7 @@ pub(crate) fn compile_scoped(
             }
         }
         Expr::Un(UnOp::Neg, a) => {
-            let a = compile_scoped(env, locals, a)?;
+            let a = compile_scoped(env, locals, a);
             match &a {
                 CExpr::Const(v) => match v.neg() {
                     Ok(out) => CExpr::Const(out),
@@ -153,43 +218,38 @@ pub(crate) fn compile_scoped(
             }
         }
         Expr::IsNull(a, negated) => {
-            let a = compile_scoped(env, locals, a)?;
+            let a = compile_scoped(env, locals, a);
             match &a {
                 CExpr::Const(v) => CExpr::Const(Value::Bool(v.is_null() != *negated)),
                 _ => CExpr::IsNull(Box::new(a), *negated),
             }
         }
         Expr::ExistsProp(base, key) => {
-            let base = compile_scoped(env, locals, base)?;
+            let base = compile_scoped(env, locals, base);
             match &base {
                 CExpr::Const(v) => CExpr::Const(Value::Bool(!const_get_prop(v, key).is_null())),
                 _ => CExpr::ExistsProp(Box::new(base), key.clone()),
             }
         }
-        Expr::ExistsPattern(_) => return Err(Unsupported),
-        Expr::Call { name, args, .. } => {
-            if is_aggregate_fn(name) {
-                // Aggregates outside projection rewrites error at runtime
-                // in the interpreter; preserve that exactly.
-                CExpr::AggErr(name.clone())
-            } else {
-                // Function results may depend on the graph; never folded.
-                let args = args
-                    .iter()
-                    .map(|a| compile_scoped(env, locals, a))
-                    .collect::<Result<Vec<_>, _>>()?;
-                CExpr::Call {
-                    name: name.clone(),
-                    args,
-                }
-            }
+        Expr::ExistsPattern(part) => {
+            CExpr::ExistsPattern(Box::new(compile_pattern(env, locals, part)))
         }
+        // Aggregates outside projection rewrites error at runtime.
+        Expr::Call { name, .. } if is_aggregate_fn(name) => CExpr::AggErr(name.clone()),
+        // Function results may depend on the graph; never folded.
+        Expr::Call { name, args, .. } => CExpr::Call {
+            name: name.clone(),
+            args: args
+                .iter()
+                .map(|a| compile_scoped(env, locals, a))
+                .collect(),
+        },
         Expr::Star => CExpr::Star,
         Expr::List(items) => {
-            let items = items
+            let items: Vec<CExpr> = items
                 .iter()
                 .map(|e| compile_scoped(env, locals, e))
-                .collect::<Result<Vec<_>, _>>()?;
+                .collect();
             if items.iter().all(|e| matches!(e, CExpr::Const(_))) {
                 CExpr::Const(Value::List(items.into_iter().map(unwrap_const).collect()))
             } else {
@@ -197,10 +257,10 @@ pub(crate) fn compile_scoped(
             }
         }
         Expr::Map(items) => {
-            let items = items
+            let items: Vec<(String, CExpr)> = items
                 .iter()
-                .map(|(k, e)| Ok((k.clone(), compile_scoped(env, locals, e)?)))
-                .collect::<Result<Vec<_>, Unsupported>>()?;
+                .map(|(k, e)| (k.clone(), compile_scoped(env, locals, e)))
+                .collect();
             if items.iter().all(|(_, e)| matches!(e, CExpr::Const(_))) {
                 CExpr::Const(Value::Map(
                     items
@@ -217,17 +277,17 @@ pub(crate) fn compile_scoped(
             arms,
             default,
         } => CExpr::Case {
-            operand: opt_compile(env, locals, operand.as_deref())?.map(Box::new),
+            operand: opt_compile(env, locals, operand.as_deref()).map(Box::new),
             arms: arms
                 .iter()
                 .map(|(w, t)| {
-                    Ok((
-                        compile_scoped(env, locals, w)?,
-                        compile_scoped(env, locals, t)?,
-                    ))
+                    (
+                        compile_scoped(env, locals, w),
+                        compile_scoped(env, locals, t),
+                    )
                 })
-                .collect::<Result<Vec<_>, Unsupported>>()?,
-            default: opt_compile(env, locals, default.as_deref())?.map(Box::new),
+                .collect(),
+            default: opt_compile(env, locals, default.as_deref()).map(Box::new),
         },
         Expr::ListComp {
             var,
@@ -235,32 +295,45 @@ pub(crate) fn compile_scoped(
             pred,
             map,
         } => {
-            let list = compile_scoped(env, locals, list)?;
+            let list = compile_scoped(env, locals, list);
             locals.push(var.clone());
-            let inner = (|| {
-                Ok((
-                    opt_compile(env, locals, pred.as_deref())?,
-                    opt_compile(env, locals, map.as_deref())?,
-                ))
-            })();
+            let pred = opt_compile(env, locals, pred.as_deref());
+            let map = opt_compile(env, locals, map.as_deref());
             locals.pop();
-            let (pred, map) = inner?;
             CExpr::ListComp {
                 list: Box::new(list),
                 pred: pred.map(Box::new),
                 map: map.map(Box::new),
             }
         }
-    };
-    Ok(out)
+    }
 }
 
-fn opt_compile(
+/// A variable reference: the innermost comprehension binder, else the
+/// environment slot, else unbound.
+fn resolve_var(env: &[String], locals: &[String], name: &str) -> CExpr {
+    match locals.iter().rposition(|n| n == name) {
+        Some(i) => CExpr::Local(i),
+        None => match env.iter().position(|n| n == name) {
+            Some(i) => CExpr::Slot(i),
+            None => CExpr::Unbound(name.to_string()),
+        },
+    }
+}
+
+fn opt_compile(env: &[String], locals: &mut Vec<String>, e: Option<&Expr>) -> Option<CExpr> {
+    e.map(|e| compile_scoped(env, locals, e))
+}
+
+fn compile_props(
     env: &[String],
     locals: &mut Vec<String>,
-    e: Option<&Expr>,
-) -> Result<Option<CExpr>, Unsupported> {
-    e.map(|e| compile_scoped(env, locals, e)).transpose()
+    props: &[(String, Expr)],
+) -> Vec<(String, CExpr)> {
+    props
+        .iter()
+        .map(|(k, e)| (k.clone(), compile_scoped(env, locals, e)))
+        .collect()
 }
 
 fn all_const(e: &Option<CExpr>) -> bool {
@@ -297,7 +370,7 @@ fn fold_prop(base: CExpr, key: String) -> CExpr {
     }
 }
 
-/// `NOT` on a value; same table and error as the interpreter.
+/// `NOT` on a value.
 fn not_value(v: &Value) -> Result<Value, CypherError> {
     match v {
         Value::Null => Ok(Value::Null),
@@ -402,17 +475,16 @@ fn fold_bin(op: BinOp, a: CExpr, b: CExpr) -> CExpr {
 
 /// Evaluation context for compiled expressions: only the graph and the
 /// parameters — variables come pre-resolved as slots.
-pub struct CEvalCtx<'a> {
+pub struct Evaluator<'a> {
     /// The graph being queried.
     pub graph: &'a Graph,
     /// Query parameters.
     pub params: &'a Params,
 }
 
-impl<'a> CEvalCtx<'a> {
-    /// Evaluates a compiled expression against `row`, producing an entry.
-    /// Mirrors the interpreted evaluator bit-for-bit, including error
-    /// messages.
+impl<'a> Evaluator<'a> {
+    /// Evaluates a compiled expression against `row`, producing an entry
+    /// (entities are preserved when the expression is a bare variable).
     pub fn eval(&self, expr: &CompiledExpr, row: &Row) -> Result<Entry, CypherError> {
         let mut locals = Vec::new();
         self.eval_inner(&expr.0, row, &mut locals)
@@ -440,8 +512,8 @@ impl<'a> CEvalCtx<'a> {
     ) -> Result<Entry, CypherError> {
         match expr {
             CExpr::Const(v) => Ok(Entry::Val(v.clone())),
-            // Same indexing (and the same panic on a short row) as the
-            // interpreter's `row[slot]` lookup.
+            // Rows are always as wide as the environment they were
+            // compiled against, so a slot is always in range.
             CExpr::Slot(i) => Ok(row[*i].clone()),
             CExpr::Local(i) => Ok(locals[*i].clone()),
             CExpr::Unbound(name) => Err(CypherError::runtime(format!(
@@ -520,6 +592,9 @@ impl<'a> CEvalCtx<'a> {
                     !base.get_prop(self.graph, key).is_null(),
                 )))
             }
+            CExpr::ExistsPattern(p) => Ok(Entry::Val(Value::Bool(
+                self.pattern_exists(p, row, locals)?,
+            ))),
             CExpr::Call { name, args } => {
                 let mut arg_entries = Vec::with_capacity(args.len());
                 for a in args {
@@ -610,6 +685,115 @@ impl<'a> CEvalCtx<'a> {
             }
         }
     }
+
+    /// `exists(pattern)`: starts from a bound endpoint (the reversed chain
+    /// when only the far end is bound) and walks single hops; bound node
+    /// variables pin identities, unbound ones are purely existential.
+    fn pattern_exists(
+        &self,
+        p: &CPattern,
+        row: &Row,
+        locals: &mut Vec<Entry>,
+    ) -> Result<bool, CypherError> {
+        let chain =
+            if bound_node(&p.forward.start, row, locals).is_some() || p.forward.hops.is_empty() {
+                &p.forward
+            } else {
+                &p.reversed
+            };
+        let Some(start) = bound_node(&chain.start, row, locals) else {
+            return Err(CypherError::runtime(
+                "exists(pattern) requires a bound endpoint variable",
+            ));
+        };
+        if !self.pattern_node_matches(start, &chain.start, row, locals)? {
+            return Ok(false);
+        }
+        self.exists_dfs(start, &chain.hops, row, locals)
+    }
+
+    fn exists_dfs(
+        &self,
+        cur: NodeId,
+        hops: &[(CPatRel, CPatNode)],
+        row: &Row,
+        locals: &mut Vec<Entry>,
+    ) -> Result<bool, CypherError> {
+        let Some((rel, node)) = hops.first() else {
+            return Ok(true);
+        };
+        if !rel.single {
+            return Err(CypherError::runtime(
+                "exists(pattern) does not support variable-length relationships",
+            ));
+        }
+        let types: Option<Vec<&str>> =
+            (!rel.types.is_empty()).then(|| rel.types.iter().map(String::as_str).collect());
+        for (rid, nbr) in self.graph.neighbors(cur, rel.dir, types.as_deref()) {
+            let mut ok = true;
+            for (key, expr) in &rel.props {
+                let want = self.eval_inner(expr, row, locals)?.to_value(self.graph);
+                let have = self
+                    .graph
+                    .rel(rid)
+                    .map(|r| r.props.get_or_null(key))
+                    .unwrap_or(Value::Null);
+                if have.cypher_eq(&want) != Some(true) {
+                    ok = false;
+                    break;
+                }
+            }
+            if !ok || !self.pattern_node_matches(nbr, node, row, locals)? {
+                continue;
+            }
+            if self.exists_dfs(nbr, &hops[1..], row, locals)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    fn pattern_node_matches(
+        &self,
+        node: NodeId,
+        pat: &CPatNode,
+        row: &Row,
+        locals: &mut Vec<Entry>,
+    ) -> Result<bool, CypherError> {
+        if bound_node(pat, row, locals).is_some_and(|bound| bound != node) {
+            return Ok(false);
+        }
+        for label in &pat.labels {
+            if !self.graph.node_has_label(node, label) {
+                return Ok(false);
+            }
+        }
+        for (key, expr) in &pat.props {
+            let want = self.eval_inner(expr, row, locals)?.to_value(self.graph);
+            let have = self
+                .graph
+                .node(node)
+                .map(|n| n.props.get_or_null(key))
+                .unwrap_or(Value::Null);
+            if have.cypher_eq(&want) != Some(true) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// The node a pattern node's variable is bound to in this row, if any.
+fn bound_node(pat: &CPatNode, row: &Row, locals: &[Entry]) -> Option<NodeId> {
+    let entry = match pat.var.as_ref()? {
+        CExpr::Slot(i) => &row[*i],
+        CExpr::Local(i) => &locals[*i],
+        _ => return None,
+    };
+    match entry {
+        Entry::Node(id) => Some(*id),
+        _ => None,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -617,19 +801,15 @@ impl<'a> CEvalCtx<'a> {
 // ---------------------------------------------------------------------------
 
 /// A query compiled for repeated execution: one compiled operator per
-/// clause, aligned with the interpreted pipeline's segments. Produced by
-/// [`compile_query`], executed by the executor when
-/// [`crate::ExecLimits::compiled`] is set (the default), cached alongside
-/// the parsed AST by [`crate::PlanCache`].
+/// clause, grouped into `UNION` segments. Produced by [`compile_query`],
+/// run by the executor, and cached alongside the parsed AST by
+/// [`crate::PlanCache`].
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
-    pub(crate) segments: Vec<CompiledSegment>,
-}
-
-/// One UNION segment's compiled operators, 1:1 with its clauses.
-#[derive(Debug, Clone)]
-pub(crate) struct CompiledSegment {
-    pub ops: Vec<CompiledOp>,
+    /// One operator list per `UNION` segment, 1:1 with its clauses.
+    pub(crate) segments: Vec<Vec<CompiledOp>>,
+    /// Some separator is `UNION ALL`: the merged rows keep duplicates.
+    pub(crate) keep_duplicates: bool,
 }
 
 /// One clause, compiled.
@@ -637,14 +817,19 @@ pub(crate) struct CompiledSegment {
 pub(crate) enum CompiledOp {
     Match(CMatch),
     Unwind(CUnwind),
+    /// `WITH`.
     Project(CProject),
     Return(CProject),
+    Create(CCreate),
+    Merge(CMerge),
+    Set(CSet),
+    Delete(CDelete),
 }
 
 /// A compiled `MATCH`: the clause is kept for apply-time planning (anchor
-/// scoring must see the live graph) while the `WHERE` predicate and all
-/// pattern property expressions are pre-validated compilable; pattern
-/// plans are lowered to symbol/slot form once per apply, never per row.
+/// scoring must see the live graph) while the `WHERE` predicate is
+/// compiled once; pattern plans are lowered to symbol/slot form once per
+/// apply, never per row.
 #[derive(Debug, Clone)]
 pub(crate) struct CMatch {
     pub clause: MatchClause,
@@ -657,7 +842,6 @@ pub(crate) struct CMatch {
 /// A compiled `UNWIND`.
 #[derive(Debug, Clone)]
 pub(crate) struct CUnwind {
-    pub ast: Expr,
     pub var: String,
     pub env_before: Vec<String>,
     pub expr_c: CExpr,
@@ -674,16 +858,17 @@ pub(crate) struct CAggSpec {
     pub extra: Option<CExpr>,
 }
 
-/// A compiled `WITH` / `RETURN` projection: every expression the
-/// interpreter evaluates — items (aggregate-rewritten), grouping keys,
-/// aggregate arguments, `WHERE`, `ORDER BY`, `SKIP`/`LIMIT` — compiled
-/// once against the environment it runs in.
-#[derive(Debug, Clone)]
+/// A compiled `WITH` / `RETURN` projection: items (aggregate-rewritten),
+/// grouping keys, aggregate arguments, `WHERE`, `ORDER BY`, `SKIP` and
+/// `LIMIT`, each compiled once against the environment it runs in.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CProject {
-    pub ast: ProjectionClause,
     pub env_before: Vec<String>,
     /// False when a `RETURN` is not the final clause (errors at apply).
     pub is_last: bool,
+    /// The projection has no items (`*` over an empty environment):
+    /// errors at apply.
+    pub empty: bool,
     pub out_names: Vec<String>,
     /// Item expressions with aggregates rewritten to `__aggN` slots,
     /// compiled against `env + __aggN`.
@@ -691,15 +876,18 @@ pub(crate) struct CProject {
     /// Grouping keys (non-aggregate items), compiled against env.
     pub keys_c: Vec<CExpr>,
     pub specs: Vec<CAggSpec>,
-    /// Take the aggregation path (mirrors `has_agg || !specs.is_empty()`).
+    /// Take the aggregation path: some item or `ORDER BY` key aggregates.
     pub use_agg: bool,
     pub distinct: bool,
+    /// `WITH ... WHERE` calls an aggregate: errors once the items are
+    /// projected, before filtering.
+    pub where_agg: bool,
     /// `WITH ... WHERE`, compiled against the post-projection env.
     pub where_c: Option<CExpr>,
     /// `ORDER BY` keys (compiled against post env) and ascending flags.
     pub order_c: Vec<(CExpr, bool)>,
-    /// `SKIP`/`LIMIT`, compiled against the pre-projection env
-    /// (evaluated row-free, exactly like the interpreter).
+    /// `SKIP`/`LIMIT`, compiled against the pre-projection env and
+    /// evaluated row-free.
     pub skip_c: Option<CExpr>,
     pub limit_c: Option<CExpr>,
     /// Post-projection appended indices into the evaluation row.
@@ -708,14 +896,93 @@ pub(crate) struct CProject {
     pub env_len: usize,
 }
 
-/// Compiles a parsed query into a [`CompiledQuery`], or `None` when any
-/// clause is outside the compiler's subset (write clauses,
-/// `exists(pattern)`, projections the interpreter rejects at plan time).
-/// `None` is not an error: the executor falls back to the interpreted
-/// pipeline with identical semantics.
+/// A compiled `CREATE`.
+#[derive(Debug, Clone)]
+pub(crate) struct CCreate {
+    pub env_before: Vec<String>,
+    /// Variables this clause adds to the environment, in slot order.
+    pub new_vars: Vec<String>,
+    pub parts: Vec<CCreatePart>,
+}
+
+#[derive(Debug, Clone)]
+pub(crate) struct CCreatePart {
+    pub start: CCreateNode,
+    pub hops: Vec<(CCreateRel, CCreateNode)>,
+}
+
+/// A node to create, or to reuse when its variable is already bound.
+#[derive(Debug, Clone)]
+pub(crate) struct CCreateNode {
+    /// The variable's name and slot.
+    pub var: Option<(String, usize)>,
+    /// The variable was bound before this clause (a non-node binding is
+    /// an error rather than a fresh slot).
+    pub pre_bound: bool,
+    pub labels: Vec<String>,
+    pub props: Vec<(String, CExpr)>,
+}
+
+#[derive(Debug, Clone)]
+pub(crate) struct CCreateRel {
+    pub slot: Option<usize>,
+    pub single: bool,
+    pub rel_type: Option<String>,
+    pub dir: RelDir,
+    pub props: Vec<(String, CExpr)>,
+}
+
+/// A compiled single-node `MERGE`.
+#[derive(Debug, Clone)]
+pub(crate) struct CMerge {
+    pub env_before: Vec<String>,
+    /// The variable, when it is new to the environment.
+    pub new_var: Option<String>,
+    pub slot: Option<usize>,
+    pub labels: Vec<String>,
+    pub props: Vec<(String, CExpr)>,
+}
+
+/// A compiled `SET` (and `REMOVE`, which desugars to `SET … = null`).
+#[derive(Debug, Clone)]
+pub(crate) struct CSet {
+    pub env_before: Vec<String>,
+    pub items: Vec<CSetItem>,
+}
+
+#[derive(Debug, Clone)]
+pub(crate) struct CSetItem {
+    pub var: String,
+    /// `None` when the variable is not defined (errors at apply).
+    pub slot: Option<usize>,
+    /// The property key, or `None` for `var += map`.
+    pub key: Option<String>,
+    pub expr: CExpr,
+}
+
+/// A compiled `DELETE` / `DETACH DELETE`.
+#[derive(Debug, Clone)]
+pub(crate) struct CDelete {
+    pub env_before: Vec<String>,
+    /// Each variable with its slot (`None` errors at apply).
+    pub vars: Vec<(String, Option<usize>)>,
+    pub detach: bool,
+}
+
+/// Compiles a parsed query into a [`CompiledQuery`].
+///
+/// Lowering is total, so this always returns `Some`: plan errors are
+/// raised when execution reaches the offending clause (see the module
+/// docs).
 pub fn compile_query(q: &Query) -> Option<CompiledQuery> {
+    Some(compile(q))
+}
+
+/// [`compile_query`] without the `Option`, timed into
+/// [`compile_time_ns`].
+pub(crate) fn compile(q: &Query) -> CompiledQuery {
     let t0 = std::time::Instant::now();
-    let out = compile_query_inner(q);
+    let out = compile_inner(q);
     COMPILE_NS.with(|c| c.set(c.get().wrapping_add(t0.elapsed().as_nanos() as u64)));
     out
 }
@@ -724,108 +991,161 @@ thread_local! {
     static COMPILE_NS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// The current thread's monotonic total of nanoseconds spent in
-/// [`compile_query`]. Stage timers measure compilation by taking a delta
-/// around a prepare call — the same before/after idiom as
+/// The current thread's monotonic total of nanoseconds spent compiling
+/// queries. Stage timers measure compilation by taking a delta around a
+/// prepare call — the same before/after idiom as
 /// [`crate::plan::plan_time_ns`].
 pub fn compile_time_ns() -> u64 {
     COMPILE_NS.with(|c| c.get())
 }
 
-fn compile_query_inner(q: &Query) -> Option<CompiledQuery> {
-    let mut segments = Vec::new();
-    for (clauses, _) in split_segments(q) {
-        let mut ops = Vec::new();
-        // Simulated environment: evolution is a pure function of the AST,
-        // mirroring the executor's env step for step.
-        let mut env: Vec<String> = Vec::new();
-        for (i, clause) in clauses.iter().enumerate() {
-            let is_last = i + 1 == clauses.len();
-            let op = match clause {
-                Clause::Match(m) => CompiledOp::Match(compile_match(&env, m).ok()?),
-                Clause::Unwind { expr, var } => {
-                    let expr_c = compile_scoped(&env, &mut Vec::new(), expr).ok()?;
-                    let op = CUnwind {
-                        ast: expr.clone(),
-                        var: var.clone(),
-                        env_before: env.clone(),
-                        expr_c,
-                    };
-                    env.push(var.clone());
-                    CompiledOp::Unwind(op)
+fn compile_inner(q: &Query) -> CompiledQuery {
+    let mut segments = vec![Vec::new()];
+    let mut keep_duplicates = false;
+    // Simulated environment: evolution is a pure function of the AST,
+    // mirroring the executor's env step for step.
+    let mut env: Vec<String> = Vec::new();
+    for (i, clause) in q.clauses.iter().enumerate() {
+        let is_last = q
+            .clauses
+            .get(i + 1)
+            .is_none_or(|c| matches!(c, Clause::Union { .. }));
+        let op = match clause {
+            Clause::Union { all } => {
+                keep_duplicates |= *all;
+                segments.push(Vec::new());
+                env.clear();
+                continue;
+            }
+            Clause::Match(m) => {
+                let env_before = env.clone();
+                for part in &m.patterns {
+                    extend_with_part(&mut env, part);
                 }
-                Clause::With(p) => CompiledOp::Project(compile_project(&mut env, p, true).ok()?),
-                Clause::Return(p) => {
-                    CompiledOp::Return(compile_project(&mut env, p, is_last).ok()?)
-                }
-                // Write clauses and stray UNION separators: interpreted.
-                _ => return None,
-            };
-            if let CompiledOp::Match(m) = &op {
-                // Mirror the executor's env extension.
-                for part in &m.clause.patterns {
-                    let mut vars = Vec::new();
-                    crate::plan::collect_part_vars(part, &mut vars);
-                    for v in vars {
-                        if !env.contains(&v) {
-                            env.push(v);
+                CompiledOp::Match(CMatch {
+                    clause: m.clone(),
+                    env_before,
+                    where_c: m
+                        .where_clause
+                        .as_ref()
+                        .map(|w| compile_scoped(&env, &mut Vec::new(), w)),
+                })
+            }
+            Clause::Unwind { expr, var } => {
+                let op = CUnwind {
+                    var: var.clone(),
+                    env_before: env.clone(),
+                    expr_c: compile_scoped(&env, &mut Vec::new(), expr),
+                };
+                env.push(var.clone());
+                CompiledOp::Unwind(op)
+            }
+            Clause::With(p) => CompiledOp::Project(compile_project(&mut env, p, true)),
+            Clause::Return(p) => CompiledOp::Return(compile_project(&mut env, p, is_last)),
+            Clause::Create { patterns } => CompiledOp::Create(compile_create(&mut env, patterns)),
+            Clause::Merge { node } => {
+                let env_before = env.clone();
+                let new_var = node.var.clone().filter(|v| !env.contains(v));
+                env.extend(new_var.clone());
+                CompiledOp::Merge(CMerge {
+                    slot: node.var.as_ref().and_then(|v| slot_of(&env, v)),
+                    new_var,
+                    labels: node.labels.clone(),
+                    props: compile_props(&env, &mut Vec::new(), &node.props),
+                    env_before,
+                })
+            }
+            Clause::Set { items } => CompiledOp::Set(CSet {
+                env_before: env.clone(),
+                items: items
+                    .iter()
+                    .map(|item| {
+                        let (var, key, expr) = match item {
+                            SetItem::Prop { var, key, expr } => (var, Some(key.clone()), expr),
+                            SetItem::MergeMap { var, expr } => (var, None, expr),
+                        };
+                        CSetItem {
+                            var: var.clone(),
+                            slot: slot_of(&env, var),
+                            key,
+                            expr: compile_scoped(&env, &mut Vec::new(), expr),
                         }
-                    }
-                }
-            }
-            ops.push(op);
-        }
-        segments.push(CompiledSegment { ops });
+                    })
+                    .collect(),
+            }),
+            Clause::Delete { vars, detach } => CompiledOp::Delete(CDelete {
+                env_before: env.clone(),
+                vars: vars.iter().map(|v| (v.clone(), slot_of(&env, v))).collect(),
+                detach: *detach,
+            }),
+        };
+        segments.last_mut().expect("nonempty").push(op);
     }
-    Some(CompiledQuery { segments })
+    CompiledQuery {
+        segments,
+        keep_duplicates,
+    }
 }
 
-fn compile_match(env: &[String], m: &MatchClause) -> Result<CMatch, Unsupported> {
-    // Simulate the extended environment this clause binds.
-    let mut ext: Vec<String> = env.to_vec();
-    for part in &m.patterns {
-        let mut vars = Vec::new();
-        crate::plan::collect_part_vars(part, &mut vars);
-        for v in vars {
-            if !ext.contains(&v) {
-                ext.push(v);
-            }
+fn slot_of(env: &[String], var: &str) -> Option<usize> {
+    env.iter().position(|n| n == var)
+}
+
+/// Appends the variables `part` binds that `env` lacks.
+fn extend_with_part(env: &mut Vec<String>, part: &PatternPart) {
+    let mut vars = Vec::new();
+    crate::plan::collect_part_vars(part, &mut vars);
+    for v in vars {
+        if !env.contains(&v) {
+            env.push(v);
         }
     }
-    // Pre-validate every pattern property expression so per-apply plan
-    // lowering cannot fail. (Anchor seek expressions are either inline
-    // props — covered here — or literal/param conjuncts of WHERE.)
-    for part in &m.patterns {
-        for (_, e) in &part.start.props {
-            compile_scoped(&ext, &mut Vec::new(), e)?;
-        }
-        for (rel, node) in &part.hops {
-            for (_, e) in &rel.props {
-                compile_scoped(&ext, &mut Vec::new(), e)?;
-            }
-            for (_, e) in &node.props {
-                compile_scoped(&ext, &mut Vec::new(), e)?;
-            }
-        }
+}
+
+fn compile_create(env: &mut Vec<String>, patterns: &[PatternPart]) -> CCreate {
+    let env_before = env.clone();
+    for part in patterns {
+        extend_with_part(env, part);
     }
-    let where_c = match &m.where_clause {
-        Some(w) => Some(compile_scoped(&ext, &mut Vec::new(), w)?),
-        None => None,
+    let env: &[String] = env;
+    let node = |n: &NodePattern| CCreateNode {
+        var: n
+            .var
+            .as_ref()
+            .map(|v| (v.clone(), slot_of(env, v).expect("extended above"))),
+        pre_bound: n.var.as_ref().is_some_and(|v| env_before.contains(v)),
+        labels: n.labels.clone(),
+        props: compile_props(env, &mut Vec::new(), &n.props),
     };
-    Ok(CMatch {
-        clause: m.clone(),
-        env_before: env.to_vec(),
-        where_c,
-    })
+    let parts = patterns
+        .iter()
+        .map(|part| CCreatePart {
+            start: node(&part.start),
+            hops: part
+                .hops
+                .iter()
+                .map(|(r, n)| {
+                    let rel = CCreateRel {
+                        slot: r.var.as_ref().and_then(|v| slot_of(env, v)),
+                        single: r.hops.is_single(),
+                        rel_type: r.types.first().cloned(),
+                        dir: r.dir,
+                        props: compile_props(env, &mut Vec::new(), &r.props),
+                    };
+                    (rel, node(n))
+                })
+                .collect(),
+        })
+        .collect();
+    CCreate {
+        new_vars: env[env_before.len()..].to_vec(),
+        env_before,
+        parts,
+    }
 }
 
-fn compile_project(
-    env: &mut Vec<String>,
-    p: &ProjectionClause,
-    is_last: bool,
-) -> Result<CProject, Unsupported> {
-    // Mirror `project()`: expand `*`, reject empty projections (fallback —
-    // the interpreter raises the plan error).
+fn compile_project(env: &mut Vec<String>, p: &ProjectionClause, is_last: bool) -> CProject {
+    // Expand `*` into explicit items.
     let mut items: Vec<ProjectionItem> = Vec::new();
     if p.star {
         for name in env.iter() {
@@ -837,7 +1157,12 @@ fn compile_project(
     }
     items.extend(p.items.iter().cloned());
     if items.is_empty() {
-        return Err(Unsupported);
+        return CProject {
+            env_before: std::mem::take(env),
+            is_last,
+            empty: true,
+            ..CProject::default()
+        };
     }
 
     let has_agg = items.iter().any(|it| it.expr.contains_aggregate())
@@ -860,37 +1185,28 @@ fn compile_project(
     for i in 0..specs_ast.len() {
         eval_env.push(format!("__agg{i}"));
     }
+    let compile_in = |names: &[String], e: &Expr| compile_scoped(names, &mut Vec::new(), e);
 
     let rewritten = rewritten_ast
         .iter()
-        .map(|e| compile_scoped(&eval_env, &mut Vec::new(), e))
-        .collect::<Result<Vec<_>, _>>()?;
+        .map(|e| compile_in(&eval_env, e))
+        .collect();
 
     let keys_c = items
         .iter()
         .filter(|it| !it.expr.contains_aggregate())
-        .map(|it| compile_scoped(env, &mut Vec::new(), &it.expr))
-        .collect::<Result<Vec<_>, _>>()?;
+        .map(|it| compile_in(env, &it.expr))
+        .collect();
 
     let specs = specs_ast
         .iter()
-        .map(|s| {
-            Ok(CAggSpec {
-                name: s.name.clone(),
-                distinct: s.distinct,
-                arg: s
-                    .arg
-                    .as_ref()
-                    .map(|e| compile_scoped(env, &mut Vec::new(), e))
-                    .transpose()?,
-                extra: s
-                    .extra
-                    .as_ref()
-                    .map(|e| compile_scoped(env, &mut Vec::new(), e))
-                    .transpose()?,
-            })
+        .map(|s| CAggSpec {
+            name: s.name.clone(),
+            distinct: s.distinct,
+            arg: s.arg.as_ref().map(|e| compile_in(env, e)),
+            extra: s.extra.as_ref().map(|e| compile_in(env, e)),
         })
-        .collect::<Result<Vec<_>, Unsupported>>()?;
+        .collect();
 
     // Post-projection environment: projected names, then non-shadowed
     // evaluation-context names.
@@ -905,61 +1221,40 @@ fn compile_project(
         post_names.push(eval_env[i].clone());
     }
 
-    let where_c = match &p.where_clause {
-        Some(w) => {
-            let mut w_specs = Vec::new();
-            let w_re = crate::exec::aggregate::extract_aggs(w, &mut w_specs);
-            if !w_specs.is_empty() {
-                // Interpreter raises "aggregate functions are not allowed
-                // in WITH ... WHERE"; fall back so it does.
-                return Err(Unsupported);
-            }
-            Some(compile_scoped(&post_names, &mut Vec::new(), &w_re)?)
-        }
-        None => None,
-    };
+    let mut where_agg = false;
+    let where_c = p.where_clause.as_ref().and_then(|w| {
+        let mut w_specs = Vec::new();
+        let w_re = crate::exec::aggregate::extract_aggs(w, &mut w_specs);
+        where_agg = !w_specs.is_empty();
+        (!where_agg).then(|| compile_in(&post_names, &w_re))
+    });
 
     let order_c = order_rewritten_ast
         .iter()
         .zip(p.order_by.iter())
-        .map(|(e, k)| {
-            Ok((
-                compile_scoped(&post_names, &mut Vec::new(), e)?,
-                k.ascending,
-            ))
-        })
-        .collect::<Result<Vec<_>, Unsupported>>()?;
-
-    let skip_c = p
-        .skip
-        .as_ref()
-        .map(|e| compile_scoped(env, &mut Vec::new(), e))
-        .transpose()?;
-    let limit_c = p
-        .limit
-        .as_ref()
-        .map(|e| compile_scoped(env, &mut Vec::new(), e))
-        .transpose()?;
+        .map(|(e, k)| (compile_in(&post_names, e), k.ascending))
+        .collect();
 
     let out = CProject {
-        ast: p.clone(),
         env_before: env.clone(),
         is_last,
+        empty: false,
         out_names: out_names.clone(),
         rewritten,
         keys_c,
         specs,
         use_agg: has_agg || !specs_ast.is_empty(),
         distinct: p.distinct,
+        where_agg,
         where_c,
         order_c,
-        skip_c,
-        limit_c,
+        skip_c: p.skip.as_ref().map(|e| compile_in(env, e)),
+        limit_c: p.limit.as_ref().map(|e| compile_in(env, e)),
         appended,
         env_len: env.len(),
     };
     *env = out_names;
-    Ok(out)
+    out
 }
 
 const _: () = {
@@ -971,81 +1266,69 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::EvalCtx;
     use crate::parser::parse_expression;
 
-    fn both(src: &str) -> (Result<Value, CypherError>, Result<Value, CypherError>) {
+    fn eval(src: &str) -> Result<Value, CypherError> {
         let graph = Graph::new();
-        let env = Env::new();
         let params = Params::new();
-        let e = parse_expression(src).unwrap();
-        let interp = EvalCtx {
-            graph: &graph,
-            env: &env,
-            params: &params,
-        }
-        .eval_value(&e, &Vec::new());
-        let c = compile_expr(&env, &e).expect("compilable");
-        let compiled = CEvalCtx {
+        let c = compile_expr(&Env::new(), &parse_expression(src).unwrap());
+        Evaluator {
             graph: &graph,
             params: &params,
         }
-        .eval_value(&c, &Vec::new());
-        (interp, compiled)
+        .eval_value(&c, &Vec::new())
     }
 
     #[test]
-    fn const_folding_matches_interpreter() {
-        for src in [
-            "1 + 2 * 3",
-            "2 ^ 10",
-            "null AND false",
-            "null OR true",
-            "NOT null",
-            "[10, 20, 30][-1]",
-            "[10, 20, 30][0..2]",
-            "'AS2497' =~ 'AS.*'",
-            "CASE WHEN 1 > 2 THEN 'a' ELSE 'b' END",
-            "{a: 1, b: [2, 3]}.b[0]",
-            "2 IN [1, 2, 3]",
-            "4 IN [1, null]",
+    fn constant_folding_keeps_values() {
+        for (src, want) in [
+            ("1 + 2 * 3", Value::Int(7)),
+            ("2 ^ 10", Value::Float(1024.0)),
+            ("null AND false", Value::Bool(false)),
+            ("null OR true", Value::Bool(true)),
+            ("NOT null", Value::Null),
+            ("[10, 20, 30][-1]", Value::Int(30)),
+            ("[10, 20, 30][0..2]", Value::from(vec![10i64, 20])),
+            ("'AS2497' =~ 'AS.*'", Value::Bool(true)),
+            ("CASE WHEN 1 > 2 THEN 'a' ELSE 'b' END", Value::from("b")),
+            ("{a: 1, b: [2, 3]}.b[0]", Value::Int(2)),
+            ("2 IN [1, 2, 3]", Value::Bool(true)),
+            ("4 IN [1, null]", Value::Null),
         ] {
-            let (i, c) = both(src);
-            assert_eq!(i.unwrap(), c.unwrap(), "{src}");
+            assert_eq!(eval(src).unwrap(), want, "{src}");
         }
     }
 
     #[test]
     fn folded_constants_are_const_nodes() {
-        let env = Env::new();
         let e = parse_expression("1 + 2 * 3").unwrap();
-        let c = compile_expr(&env, &e).unwrap();
-        assert_eq!(c.0, CExpr::Const(Value::Int(7)));
+        assert_eq!(compile_expr(&Env::new(), &e).0, CExpr::Const(Value::Int(7)));
     }
 
     #[test]
     fn failed_folds_stay_lazy() {
         // `NOT 1` errors; the fold must not surface it eagerly, and
         // short-circuiting must still hide it at runtime.
-        let env = Env::new();
         let e = parse_expression("false AND (NOT 1)").unwrap();
-        let c = compile_expr(&env, &e).unwrap();
         assert_ne!(
-            c.0,
+            compile_expr(&Env::new(), &e).0,
             CExpr::Const(Value::Bool(false)),
             "erroring subtree must not fold"
         );
-        let (i, cv) = both("false AND (NOT 1)");
-        assert_eq!(i.unwrap(), cv.unwrap());
-        // And when reached, the error matches the interpreter's.
-        let (i, cv) = both("true AND (NOT 1)");
-        assert_eq!(i.unwrap_err().message, cv.unwrap_err().message);
+        assert_eq!(eval("false AND (NOT 1)").unwrap(), Value::Bool(false));
+        // And when reached, the error surfaces.
+        assert_eq!(
+            eval("true AND (NOT 1)").unwrap_err().message,
+            "NOT expects a boolean, got INTEGER"
+        );
     }
 
     #[test]
-    fn unbound_variable_same_error() {
-        let (i, c) = both("ghost + 1");
-        assert_eq!(i.unwrap_err().message, c.unwrap_err().message);
+    fn unbound_variable_errors_at_eval() {
+        assert_eq!(
+            eval("ghost + 1").unwrap_err().message,
+            "variable 'ghost' is not defined"
+        );
     }
 
     #[test]
@@ -1054,8 +1337,7 @@ mod tests {
         env.push("a");
         env.push("b");
         let e = parse_expression("b").unwrap();
-        let c = compile_expr(&env, &e).unwrap();
-        assert_eq!(c.0, CExpr::Slot(1));
+        assert_eq!(compile_expr(&env, &e).0, CExpr::Slot(1));
     }
 
     #[test]
@@ -1063,10 +1345,10 @@ mod tests {
         let mut env = Env::new();
         env.push("x");
         let e = parse_expression("[x IN [1, 2, 3] | x * 10]").unwrap();
-        let c = compile_expr(&env, &e).unwrap();
+        let c = compile_expr(&env, &e);
         let graph = Graph::new();
         let params = Params::new();
-        let ctx = CEvalCtx {
+        let ctx = Evaluator {
             graph: &graph,
             params: &params,
         };
@@ -1079,21 +1361,31 @@ mod tests {
     }
 
     #[test]
-    fn exists_pattern_is_unsupported() {
-        let env = Env::new();
+    fn exists_pattern_compiles() {
+        let mut env = Env::new();
+        env.push("a");
         let e = parse_expression("exists((a)-[:PEERS_WITH]->(b))").unwrap();
-        assert!(compile_expr(&env, &e).is_none());
+        assert!(matches!(compile_expr(&env, &e).0, CExpr::ExistsPattern(_)));
     }
 
     #[test]
-    fn compile_query_covers_read_queries_and_skips_writes() {
-        let q = crate::parser::parse("MATCH (a:AS) WHERE a.asn > 1 RETURN a.asn ORDER BY a.asn")
-            .unwrap();
-        assert!(compile_query(&q).is_some());
-        let w = crate::parser::parse("CREATE (a:AS {asn: 1})").unwrap();
-        assert!(compile_query(&w).is_none());
-        let e = crate::parser::parse("MATCH (a:AS) WHERE exists((a)-[:PEERS_WITH]->()) RETURN a")
-            .unwrap();
-        assert!(compile_query(&e).is_none());
+    fn compile_query_covers_reads_and_writes() {
+        for src in [
+            "MATCH (a:AS) WHERE a.asn > 1 RETURN a.asn ORDER BY a.asn",
+            "CREATE (a:AS {asn: 1})",
+            "MATCH (a:AS) WHERE exists((a)-[:PEERS_WITH]->()) RETURN a",
+            "MATCH (a:AS) WITH a WHERE count(a) > 1 RETURN a",
+            "RETURN 1 AS x UNION ALL RETURN 2 AS x",
+        ] {
+            let q = crate::parser::parse(src).unwrap();
+            let c = compile_query(&q).expect("lowering is total");
+            let ops: usize = c.segments.iter().map(Vec::len).sum();
+            let separators = q
+                .clauses
+                .iter()
+                .filter(|c| matches!(c, Clause::Union { .. }))
+                .count();
+            assert_eq!(ops + separators, q.clauses.len(), "{src}");
+        }
     }
 }

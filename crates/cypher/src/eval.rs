@@ -1,8 +1,6 @@
-//! Runtime rows, bindings and expression evaluation.
+//! Runtime rows and bindings, plus the value helpers expression
+//! evaluation ([`crate::compile::Evaluator`]) shares with constant folding.
 
-use crate::ast::{BinOp, Expr, UnOp};
-use crate::error::CypherError;
-use crate::functions::call_function;
 use iyp_graphdb::{Graph, NodeId, RelId, Value};
 use std::collections::BTreeMap;
 
@@ -157,458 +155,6 @@ impl Env {
 /// A runtime row: entries parallel to an [`Env`]'s names.
 pub type Row = Vec<Entry>;
 
-/// Evaluation context shared across a query segment.
-pub struct EvalCtx<'a> {
-    /// The graph being queried.
-    pub graph: &'a Graph,
-    /// Current variable environment.
-    pub env: &'a Env,
-    /// Query parameters.
-    pub params: &'a Params,
-}
-
-impl<'a> EvalCtx<'a> {
-    /// Evaluates `expr` against `row`, producing an entry (entities are
-    /// preserved when the expression is a bare variable).
-    pub fn eval(&self, expr: &Expr, row: &Row) -> Result<Entry, CypherError> {
-        let mut locals = Vec::new();
-        self.eval_inner(expr, row, &mut locals)
-    }
-
-    /// Evaluates to a plain `Value`.
-    pub fn eval_value(&self, expr: &Expr, row: &Row) -> Result<Value, CypherError> {
-        Ok(self.eval(expr, row)?.to_value(self.graph))
-    }
-
-    fn lookup(&self, name: &str, row: &Row, locals: &[(String, Entry)]) -> Option<Entry> {
-        if let Some((_, e)) = locals.iter().rev().find(|(n, _)| n == name) {
-            return Some(e.clone());
-        }
-        self.env.slot(name).map(|i| row[i].clone())
-    }
-
-    fn eval_inner(
-        &self,
-        expr: &Expr,
-        row: &Row,
-        locals: &mut Vec<(String, Entry)>,
-    ) -> Result<Entry, CypherError> {
-        match expr {
-            Expr::Lit(v) => Ok(Entry::Val(v.clone())),
-            Expr::Var(name) => self
-                .lookup(name, row, locals)
-                .ok_or_else(|| CypherError::runtime(format!("variable '{name}' is not defined"))),
-            Expr::Param(name) => {
-                Ok(Entry::Val(self.params.get(name).cloned().ok_or_else(
-                    || CypherError::runtime(format!("missing parameter '${name}'")),
-                )?))
-            }
-            Expr::Prop(base, key) => {
-                let base = self.eval_inner(base, row, locals)?;
-                Ok(Entry::Val(base.get_prop(self.graph, key)))
-            }
-            Expr::Index(base, idx) => {
-                let base = self.eval_inner(base, row, locals)?.to_value(self.graph);
-                let idx = self.eval_inner(idx, row, locals)?.to_value(self.graph);
-                Ok(Entry::Val(index_value(&base, &idx)))
-            }
-            Expr::Slice(base, lo, hi) => {
-                let base = self.eval_inner(base, row, locals)?.to_value(self.graph);
-                let lo = match lo {
-                    Some(e) => Some(self.eval_inner(e, row, locals)?.to_value(self.graph)),
-                    None => None,
-                };
-                let hi = match hi {
-                    Some(e) => Some(self.eval_inner(e, row, locals)?.to_value(self.graph)),
-                    None => None,
-                };
-                Ok(Entry::Val(slice_value(&base, lo.as_ref(), hi.as_ref())))
-            }
-            Expr::Bin(op, a, b) => self.eval_bin(*op, a, b, row, locals),
-            Expr::Un(UnOp::Not, a) => {
-                let v = self.eval_inner(a, row, locals)?.to_value(self.graph);
-                Ok(Entry::Val(match v {
-                    Value::Null => Value::Null,
-                    Value::Bool(b) => Value::Bool(!b),
-                    other => {
-                        return Err(CypherError::runtime(format!(
-                            "NOT expects a boolean, got {}",
-                            other.type_name()
-                        )))
-                    }
-                }))
-            }
-            Expr::Un(UnOp::Neg, a) => {
-                let v = self.eval_inner(a, row, locals)?.to_value(self.graph);
-                Ok(Entry::Val(v.neg()?))
-            }
-            Expr::IsNull(a, negated) => {
-                let v = self.eval_inner(a, row, locals)?;
-                let is_null = v.is_null();
-                Ok(Entry::Val(Value::Bool(is_null != *negated)))
-            }
-            Expr::ExistsProp(base, key) => {
-                let base = self.eval_inner(base, row, locals)?;
-                Ok(Entry::Val(Value::Bool(
-                    !base.get_prop(self.graph, key).is_null(),
-                )))
-            }
-            Expr::ExistsPattern(part) => Ok(Entry::Val(Value::Bool(
-                self.pattern_exists(part, row, locals)?,
-            ))),
-            Expr::Call { name, args, .. } => {
-                if crate::ast::is_aggregate_fn(name) {
-                    return Err(CypherError::runtime(format!(
-                        "aggregate function {name}() is only allowed in WITH/RETURN projections"
-                    )));
-                }
-                let mut arg_entries = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_entries.push(self.eval_inner(a, row, locals)?);
-                }
-                call_function(self.graph, name, &arg_entries).map(Entry::Val)
-            }
-            Expr::Star => Err(CypherError::runtime("'*' is only valid inside count()")),
-            Expr::List(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for e in items {
-                    out.push(self.eval_inner(e, row, locals)?.to_value(self.graph));
-                }
-                Ok(Entry::Val(Value::List(out)))
-            }
-            Expr::Map(items) => {
-                let mut out = BTreeMap::new();
-                for (k, e) in items {
-                    out.insert(
-                        k.clone(),
-                        self.eval_inner(e, row, locals)?.to_value(self.graph),
-                    );
-                }
-                Ok(Entry::Val(Value::Map(out)))
-            }
-            Expr::Case {
-                operand,
-                arms,
-                default,
-            } => {
-                let operand_val = match operand {
-                    Some(e) => Some(self.eval_inner(e, row, locals)?.to_value(self.graph)),
-                    None => None,
-                };
-                for (when, then) in arms {
-                    let matched = match &operand_val {
-                        Some(op) => {
-                            let w = self.eval_inner(when, row, locals)?.to_value(self.graph);
-                            op.cypher_eq(&w) == Some(true)
-                        }
-                        None => self
-                            .eval_inner(when, row, locals)?
-                            .to_value(self.graph)
-                            .is_true(),
-                    };
-                    if matched {
-                        return self.eval_inner(then, row, locals);
-                    }
-                }
-                match default {
-                    Some(e) => self.eval_inner(e, row, locals),
-                    None => Ok(Entry::Val(Value::Null)),
-                }
-            }
-            Expr::ListComp {
-                var,
-                list,
-                pred,
-                map,
-            } => {
-                let list = self.eval_inner(list, row, locals)?.to_value(self.graph);
-                let Value::List(items) = list else {
-                    if list.is_null() {
-                        return Ok(Entry::Val(Value::Null));
-                    }
-                    return Err(CypherError::runtime(
-                        "list comprehension expects a list".to_string(),
-                    ));
-                };
-                let mut out = Vec::new();
-                for item in items {
-                    locals.push((var.clone(), Entry::Val(item.clone())));
-                    let keep = match pred {
-                        Some(p) => self
-                            .eval_inner(p, row, locals)?
-                            .to_value(self.graph)
-                            .is_true(),
-                        None => true,
-                    };
-                    if keep {
-                        let mapped = match map {
-                            Some(m) => self.eval_inner(m, row, locals)?.to_value(self.graph),
-                            None => item,
-                        };
-                        out.push(mapped);
-                    }
-                    locals.pop();
-                }
-                Ok(Entry::Val(Value::List(out)))
-            }
-        }
-    }
-
-    /// Existential pattern check for `exists((a)-[:T]->(b))`. Starts from
-    /// a bound endpoint (the chain is reversed when only the far end is
-    /// bound) and walks single hops; named variables already bound in the
-    /// row constrain the match, unbound ones are purely existential.
-    fn pattern_exists(
-        &self,
-        part: &crate::ast::PatternPart,
-        row: &Row,
-        locals: &mut Vec<(String, Entry)>,
-    ) -> Result<bool, CypherError> {
-        use crate::ast::{NodePattern, RelDir, RelPattern};
-
-        let bound_node = |pat: &NodePattern, ctx: &Self| -> Option<NodeId> {
-            let var = pat.var.as_ref()?;
-            match ctx.lookup(var, row, locals) {
-                Some(Entry::Node(id)) => Some(id),
-                _ => None,
-            }
-        };
-
-        // Orient the chain so it starts from a bound node.
-        let (start_pat, hops): (NodePattern, Vec<(RelPattern, NodePattern)>) =
-            if bound_node(&part.start, self).is_some() || part.hops.is_empty() {
-                (part.start.clone(), part.hops.clone())
-            } else {
-                let end = &part.hops.last().expect("nonempty hops").1;
-                if bound_node(end, self).is_none() {
-                    return Err(CypherError::runtime(
-                        "exists(pattern) requires a bound endpoint variable",
-                    ));
-                }
-                // Reverse the chain, flipping every direction.
-                let mut nodes: Vec<&NodePattern> = vec![&part.start];
-                let mut rels: Vec<&RelPattern> = Vec::new();
-                for (r, n) in &part.hops {
-                    rels.push(r);
-                    nodes.push(n);
-                }
-                let start = (*nodes.last().expect("nonempty")).clone();
-                let mut new_hops = Vec::with_capacity(rels.len());
-                for i in (0..rels.len()).rev() {
-                    let mut rel = rels[i].clone();
-                    rel.dir = match rel.dir {
-                        RelDir::Right => RelDir::Left,
-                        RelDir::Left => RelDir::Right,
-                        RelDir::Undirected => RelDir::Undirected,
-                    };
-                    new_hops.push((rel, nodes[i].clone()));
-                }
-                (start, new_hops)
-            };
-
-        let Some(start) = bound_node(&start_pat, self) else {
-            return Err(CypherError::runtime(
-                "exists(pattern) requires a bound endpoint variable",
-            ));
-        };
-        if !self.node_matches_pattern(start, &start_pat, row, locals)? {
-            return Ok(false);
-        }
-        self.exists_dfs(start, &hops, row, locals)
-    }
-
-    fn exists_dfs(
-        &self,
-        cur: NodeId,
-        hops: &[(crate::ast::RelPattern, crate::ast::NodePattern)],
-        row: &Row,
-        locals: &mut Vec<(String, Entry)>,
-    ) -> Result<bool, CypherError> {
-        use crate::ast::RelDir;
-        use iyp_graphdb::Direction;
-        let Some((rel_pat, node_pat)) = hops.first() else {
-            return Ok(true);
-        };
-        if !rel_pat.hops.is_single() {
-            return Err(CypherError::runtime(
-                "exists(pattern) does not support variable-length relationships",
-            ));
-        }
-        let dir = match rel_pat.dir {
-            RelDir::Right => Direction::Outgoing,
-            RelDir::Left => Direction::Incoming,
-            RelDir::Undirected => Direction::Both,
-        };
-        let types: Option<Vec<&str>> = if rel_pat.types.is_empty() {
-            None
-        } else {
-            Some(rel_pat.types.iter().map(String::as_str).collect())
-        };
-        for (rid, nbr) in self.graph.neighbors(cur, dir, types.as_deref()) {
-            // Relationship property constraints.
-            let mut ok = true;
-            for (key, expr) in &rel_pat.props {
-                let want = self.eval_inner(expr, row, locals)?.to_value(self.graph);
-                let have = self
-                    .graph
-                    .rel(rid)
-                    .map(|r| r.props.get_or_null(key))
-                    .unwrap_or(Value::Null);
-                if have.cypher_eq(&want) != Some(true) {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok || !self.node_matches_pattern(nbr, node_pat, row, locals)? {
-                continue;
-            }
-            if self.exists_dfs(nbr, &hops[1..], row, locals)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    fn node_matches_pattern(
-        &self,
-        node: NodeId,
-        pat: &crate::ast::NodePattern,
-        row: &Row,
-        locals: &mut Vec<(String, Entry)>,
-    ) -> Result<bool, CypherError> {
-        // A bound variable pins the identity.
-        if let Some(var) = &pat.var {
-            if let Some(Entry::Node(bound)) = self.lookup(var, row, locals) {
-                if bound != node {
-                    return Ok(false);
-                }
-            }
-        }
-        for label in &pat.labels {
-            if !self.graph.node_has_label(node, label) {
-                return Ok(false);
-            }
-        }
-        for (key, expr) in &pat.props {
-            let want = self.eval_inner(expr, row, locals)?.to_value(self.graph);
-            let have = self
-                .graph
-                .node(node)
-                .map(|n| n.props.get_or_null(key))
-                .unwrap_or(Value::Null);
-            if have.cypher_eq(&want) != Some(true) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    fn eval_bin(
-        &self,
-        op: BinOp,
-        a: &Expr,
-        b: &Expr,
-        row: &Row,
-        locals: &mut Vec<(String, Entry)>,
-    ) -> Result<Entry, CypherError> {
-        // Short-circuit logical operators (three-valued logic).
-        match op {
-            BinOp::And => {
-                let lhs = self.eval_inner(a, row, locals)?.to_value(self.graph);
-                if lhs == Value::Bool(false) {
-                    return Ok(Entry::Val(Value::Bool(false)));
-                }
-                let rhs = self.eval_inner(b, row, locals)?.to_value(self.graph);
-                return Ok(Entry::Val(match (lhs, rhs) {
-                    (_, Value::Bool(false)) => Value::Bool(false),
-                    (Value::Bool(true), Value::Bool(true)) => Value::Bool(true),
-                    _ => Value::Null,
-                }));
-            }
-            BinOp::Or => {
-                let lhs = self.eval_inner(a, row, locals)?.to_value(self.graph);
-                if lhs == Value::Bool(true) {
-                    return Ok(Entry::Val(Value::Bool(true)));
-                }
-                let rhs = self.eval_inner(b, row, locals)?.to_value(self.graph);
-                return Ok(Entry::Val(match (lhs, rhs) {
-                    (_, Value::Bool(true)) => Value::Bool(true),
-                    (Value::Bool(false), Value::Bool(false)) => Value::Bool(false),
-                    _ => Value::Null,
-                }));
-            }
-            BinOp::Xor => {
-                let lhs = self.eval_inner(a, row, locals)?.to_value(self.graph);
-                let rhs = self.eval_inner(b, row, locals)?.to_value(self.graph);
-                return Ok(Entry::Val(match (lhs, rhs) {
-                    (Value::Bool(x), Value::Bool(y)) => Value::Bool(x != y),
-                    _ => Value::Null,
-                }));
-            }
-            _ => {}
-        }
-        let lhs = self.eval_inner(a, row, locals)?.to_value(self.graph);
-        let rhs = self.eval_inner(b, row, locals)?.to_value(self.graph);
-        let out = match op {
-            BinOp::Add => lhs.add(&rhs)?,
-            BinOp::Sub => lhs.sub(&rhs)?,
-            BinOp::Mul => lhs.mul(&rhs)?,
-            BinOp::Div => lhs.div(&rhs)?,
-            BinOp::Mod => lhs.rem(&rhs)?,
-            BinOp::Pow => match (lhs.as_f64(), rhs.as_f64()) {
-                (Some(x), Some(y)) => Value::Float(x.powf(y)),
-                _ => Value::Null,
-            },
-            BinOp::Eq => tri(lhs.cypher_eq(&rhs)),
-            BinOp::Neq => tri(lhs.cypher_eq(&rhs).map(|b| !b)),
-            BinOp::Lt => tri(lhs.cypher_cmp(&rhs).map(|o| o == std::cmp::Ordering::Less)),
-            BinOp::Le => tri(lhs
-                .cypher_cmp(&rhs)
-                .map(|o| o != std::cmp::Ordering::Greater)),
-            BinOp::Gt => tri(lhs
-                .cypher_cmp(&rhs)
-                .map(|o| o == std::cmp::Ordering::Greater)),
-            BinOp::Ge => tri(lhs.cypher_cmp(&rhs).map(|o| o != std::cmp::Ordering::Less)),
-            BinOp::In => match (&lhs, &rhs) {
-                (Value::Null, _) | (_, Value::Null) => Value::Null,
-                (x, Value::List(items)) => {
-                    let mut saw_null = false;
-                    let mut found = false;
-                    for item in items {
-                        match x.cypher_eq(item) {
-                            Some(true) => {
-                                found = true;
-                                break;
-                            }
-                            Some(false) => {}
-                            None => saw_null = true,
-                        }
-                    }
-                    if found {
-                        Value::Bool(true)
-                    } else if saw_null {
-                        Value::Null
-                    } else {
-                        Value::Bool(false)
-                    }
-                }
-                _ => {
-                    return Err(CypherError::runtime(format!(
-                        "IN expects a list on the right, got {}",
-                        rhs.type_name()
-                    )))
-                }
-            },
-            BinOp::StartsWith => str_pred(&lhs, &rhs, |s, p| s.starts_with(p)),
-            BinOp::EndsWith => str_pred(&lhs, &rhs, |s, p| s.ends_with(p)),
-            BinOp::Contains => str_pred(&lhs, &rhs, |s, p| s.contains(p)),
-            BinOp::RegexMatch => str_pred(&lhs, &rhs, wildcard_match),
-            BinOp::And | BinOp::Or | BinOp::Xor => unreachable!("handled above"),
-        };
-        Ok(Entry::Val(out))
-    }
-}
-
 pub(crate) fn tri(b: Option<bool>) -> Value {
     match b {
         Some(b) => Value::Bool(b),
@@ -711,22 +257,18 @@ pub(crate) fn slice_value(base: &Value, lo: Option<&Value>, hi: Option<&Value>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::{compile_expr, Evaluator};
     use crate::parser::parse_expression;
     use iyp_graphdb::props;
 
-    fn ctx_eval(src: &str) -> Value {
-        let graph = Graph::new();
-        let env = Env::new();
-        let params = Params::new();
-        let ctx = EvalCtx {
-            graph: &graph,
-            env: &env,
-            params: &params,
-        };
-        ctx.eval_value(&parse_expression(src).unwrap(), &Vec::new())
-            .unwrap()
+    fn eval_in(graph: &Graph, env: &Env, params: &Params, row: &Row, src: &str) -> Value {
+        let c = compile_expr(env, &parse_expression(src).unwrap());
+        Evaluator { graph, params }.eval_value(&c, row).unwrap()
     }
 
+    fn ctx_eval(src: &str) -> Value {
+        eval_in(&Graph::new(), &Env::new(), &Params::new(), &Vec::new(), src)
+    }
     #[test]
     fn arithmetic_and_precedence() {
         assert_eq!(ctx_eval("1 + 2 * 3"), Value::Int(7));
@@ -809,36 +351,26 @@ mod tests {
         let mut env = Env::new();
         env.push("a");
         let params = Params::new();
-        let ctx = EvalCtx {
-            graph: &graph,
-            env: &env,
-            params: &params,
-        };
         let row = vec![Entry::Node(id)];
-        let v = ctx
-            .eval_value(&parse_expression("a.name").unwrap(), &row)
-            .unwrap();
-        assert_eq!(v, Value::from("IIJ"));
+        assert_eq!(
+            eval_in(&graph, &env, &params, &row, "a.name"),
+            Value::from("IIJ")
+        );
         // Missing property is null, not an error.
-        let v = ctx
-            .eval_value(&parse_expression("a.nonexistent").unwrap(), &row)
-            .unwrap();
-        assert!(v.is_null());
+        assert!(eval_in(&graph, &env, &params, &row, "a.nonexistent").is_null());
     }
 
     #[test]
     fn undefined_variable_errors() {
         let graph = Graph::new();
-        let env = Env::new();
         let params = Params::new();
-        let ctx = EvalCtx {
+        let c = compile_expr(&Env::new(), &parse_expression("ghost").unwrap());
+        let err = Evaluator {
             graph: &graph,
-            env: &env,
             params: &params,
-        };
-        let err = ctx
-            .eval_value(&parse_expression("ghost").unwrap(), &Vec::new())
-            .unwrap_err();
+        }
+        .eval_value(&c, &Vec::new())
+        .unwrap_err();
         assert!(err.message.contains("ghost"));
     }
 
@@ -848,18 +380,16 @@ mod tests {
         let env = Env::new();
         let mut params = Params::new();
         params.insert("asn".into(), Value::Int(2497));
-        let ctx = EvalCtx {
-            graph: &graph,
-            env: &env,
-            params: &params,
-        };
         assert_eq!(
-            ctx.eval_value(&parse_expression("$asn + 1").unwrap(), &Vec::new())
-                .unwrap(),
+            eval_in(&graph, &env, &params, &Vec::new(), "$asn + 1"),
             Value::Int(2498)
         );
-        assert!(ctx
-            .eval_value(&parse_expression("$missing").unwrap(), &Vec::new())
-            .is_err());
+        let c = compile_expr(&env, &parse_expression("$missing").unwrap());
+        assert!(Evaluator {
+            graph: &graph,
+            params: &params,
+        }
+        .eval_value(&c, &Vec::new())
+        .is_err());
     }
 }

@@ -1,14 +1,11 @@
-//! The aggregation operator: aggregate-call extraction, per-group
-//! accumulators (`count`, `sum`, `avg`, `min`, `max`, `collect`, `stdev`,
-//! `percentileCont`), and grouped evaluation of a projection's row set.
+//! Aggregation support for projections: aggregate-call extraction (done
+//! at compile time) and the per-group accumulators (`count`, `sum`, `avg`,
+//! `min`, `max`, `collect`, `stdev`, `percentileCont`).
 
-use crate::ast::{is_aggregate_fn, Expr, ProjectionItem};
+use crate::ast::{is_aggregate_fn, Expr};
 use crate::error::CypherError;
-use crate::eval::{Entry, Env, EvalCtx, Params, Row};
-use iyp_graphdb::{Graph, Value, ValueKey};
-use std::collections::{HashMap, HashSet};
-
-use super::project::entry_key;
+use iyp_graphdb::{Value, ValueKey};
+use std::collections::HashSet;
 
 /// One aggregate call instance found in a projection.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,14 +103,9 @@ pub(crate) struct AggAccum {
 }
 
 impl AggAccum {
-    pub fn new(spec: &AggSpec, p: f64) -> AggAccum {
-        AggAccum::new_named(&spec.name, spec.distinct, p)
-    }
-
-    /// Accumulator from a bare function name — the entry point for the
-    /// compiled pipeline, whose specs carry pre-compiled argument
-    /// expressions instead of an [`AggSpec`] AST.
-    pub fn new_named(name: &str, distinct: bool, p: f64) -> AggAccum {
+    /// Accumulator for aggregate `name`; `p` is percentileCont's
+    /// percentile.
+    pub fn new(name: &str, distinct: bool, p: f64) -> AggAccum {
         AggAccum {
             seen: distinct.then(HashSet::new),
             state: AggState::new_named(name, p),
@@ -325,78 +317,4 @@ impl AggState {
             }
         }
     }
-}
-
-/// Evaluates an aggregating projection: groups `rows` by the non-aggregate
-/// items, feeds each group's accumulators, then evaluates the rewritten
-/// item expressions against each group's representative row extended with
-/// the finished aggregate values. Returns `(projected row, context row)`
-/// pairs, the context row being the extended representative.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn aggregate_rows(
-    graph: &Graph,
-    env: &Env,
-    eval_env: &Env,
-    rows: &[Row],
-    params: &Params,
-    key_exprs: &[&ProjectionItem],
-    specs: &[AggSpec],
-    rewritten: &[Expr],
-) -> Result<Vec<(Row, Row)>, CypherError> {
-    let ctx = EvalCtx { graph, env, params };
-    let mut groups: HashMap<Vec<ValueKey>, usize> = HashMap::new();
-    let mut group_data: Vec<(Row, Vec<AggAccum>)> = Vec::new();
-    for row in rows {
-        let mut key = Vec::with_capacity(key_exprs.len());
-        for it in key_exprs {
-            key.push(entry_key(graph, &ctx.eval(&it.expr, row)?));
-        }
-        let gi = match groups.get(&key) {
-            Some(&i) => i,
-            None => {
-                let mut states = Vec::with_capacity(specs.len());
-                for spec in specs {
-                    let pval = match &spec.extra {
-                        Some(e) => ctx.eval_value(e, row)?.as_f64().unwrap_or(0.5),
-                        None => 0.5,
-                    };
-                    states.push(AggAccum::new(spec, pval));
-                }
-                group_data.push((row.clone(), states));
-                groups.insert(key, group_data.len() - 1);
-                group_data.len() - 1
-            }
-        };
-        for (si, spec) in specs.iter().enumerate() {
-            let val = match &spec.arg {
-                None => None,
-                Some(e) => Some(ctx.eval_value(e, row)?),
-            };
-            group_data[gi].1[si].update(val)?;
-        }
-    }
-    // Global aggregation over zero rows still yields one group.
-    if group_data.is_empty() && key_exprs.is_empty() {
-        let states = specs.iter().map(|s| AggAccum::new(s, 0.5)).collect();
-        let null_row: Row = vec![Entry::Val(Value::Null); env.names.len()];
-        group_data.push((null_row, states));
-    }
-    let eval_ctx = EvalCtx {
-        graph,
-        env: eval_env,
-        params,
-    };
-    let mut projected = Vec::with_capacity(group_data.len());
-    for (rep_row, states) in group_data {
-        let mut ext = rep_row.clone();
-        for st in states {
-            ext.push(Entry::Val(st.finish()));
-        }
-        let mut out_row = Vec::with_capacity(rewritten.len());
-        for rexpr in rewritten {
-            out_row.push(eval_ctx.eval(rexpr, &ext)?);
-        }
-        projected.push((out_row, ext));
-    }
-    Ok(projected)
 }

@@ -4,7 +4,6 @@
 use crate::error::CypherError;
 use crate::eval::Params;
 use iyp_graphdb::Graph;
-use std::cell::Cell;
 
 use super::{GraphSource, MAX_ROWS};
 
@@ -18,9 +17,8 @@ use super::{GraphSource, MAX_ROWS};
 pub(crate) const DEADLINE_CHECK_STRIDE: u32 = 256;
 
 /// Execution limits and tuning: a wall-clock deadline checked during
-/// pattern expansion (protecting services that execute untrusted Cypher),
-/// the worker count for morsel-parallel `MATCH`, and the
-/// compiled-pipeline switch.
+/// pattern expansion (protecting services that execute untrusted Cypher)
+/// and the worker count for morsel-parallel `MATCH`.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecLimits {
     /// Abort with a runtime error once this instant passes.
@@ -29,10 +27,6 @@ pub struct ExecLimits {
     /// default) executes sequentially; results are byte-identical at any
     /// setting.
     pub parallelism: usize,
-    /// Execute through the compiled pipeline when the query is
-    /// compilable (the default). `false` forces the interpreter —
-    /// a debugging/benchmarking escape hatch, never a semantics change.
-    pub compiled: bool,
 }
 
 impl Default for ExecLimits {
@@ -40,7 +34,6 @@ impl Default for ExecLimits {
         ExecLimits {
             deadline: None,
             parallelism: 1,
-            compiled: true,
         }
     }
 }
@@ -65,14 +58,8 @@ impl ExecLimits {
         self
     }
 
-    /// Enables or disables the compiled pipeline.
-    pub fn with_compiled(mut self, compiled: bool) -> Self {
-        self.compiled = compiled;
-        self
-    }
-
-    /// Reads the clock and compares against the deadline. Callers should
-    /// go through [`ExecContext::check_deadline`], which amortizes the
+    /// Reads the clock and compares against the deadline. Pattern
+    /// expansion calls this through a per-worker check that amortizes the
     /// clock read over [`DEADLINE_CHECK_STRIDE`] calls.
     #[inline]
     pub(crate) fn check_now(&self) -> Result<(), CypherError> {
@@ -98,8 +85,6 @@ pub(crate) struct ExecContext<'e> {
     pub limits: ExecLimits,
     /// Hard cap on intermediate row counts.
     pub max_rows: usize,
-    /// Deadline-check tick counter (see [`DEADLINE_CHECK_STRIDE`]).
-    ticks: Cell<u32>,
 }
 
 impl<'e> ExecContext<'e> {
@@ -113,7 +98,6 @@ impl<'e> ExecContext<'e> {
             params,
             limits,
             max_rows: MAX_ROWS,
-            ticks: Cell::new(0),
         }
     }
 
@@ -128,38 +112,12 @@ impl<'e> ExecContext<'e> {
         self.src.g_mut()
     }
 
-    /// Deadline check amortized over [`DEADLINE_CHECK_STRIDE`] calls:
-    /// only every stride-th call reads the clock.
-    #[inline]
-    pub fn check_deadline(&self) -> Result<(), CypherError> {
-        if self.limits.deadline.is_none() {
-            return Ok(());
-        }
-        let t = self.ticks.get();
-        self.ticks.set(t.wrapping_add(1));
-        if !t.is_multiple_of(DEADLINE_CHECK_STRIDE) {
-            return Ok(());
-        }
-        self.limits.check_now()
-    }
-
     /// Charges one clause's output row count against the budget.
     pub fn check_intermediate(&self, len: usize) -> Result<(), CypherError> {
         if len > self.max_rows {
             let max = self.max_rows;
             return Err(CypherError::runtime(format!(
                 "intermediate result exceeded {max} rows"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Charges a pattern expansion's in-flight row count against the budget.
-    pub fn check_expansion(&self, len: usize) -> Result<(), CypherError> {
-        if len > self.max_rows {
-            let max = self.max_rows;
-            return Err(CypherError::runtime(format!(
-                "pattern expansion exceeded {max} rows"
             )));
         }
         Ok(())

@@ -1,49 +1,42 @@
-//! The query executor: a pipeline of physical operators over materialized
-//! row sets, with index-aware pattern matching planned by [`crate::plan`].
+//! The query executor: runs a [`CompiledQuery`] as a pipeline of compiled
+//! operators over materialized row sets, with index-aware pattern
+//! matching planned by [`crate::plan`].
 //!
-//! Each clause of a (UNION-free) query becomes one `Operator` in a
-//! pipeline; the driver threads a row set through the operators, all of
-//! which draw on a shared `ExecContext` for graph access,
-//! parameters, wall-clock limits, and the intermediate-row budget.
+//! Every entry point lowers the parsed query with
+//! [`crate::compile::compile_query`] (or takes a form lowered earlier), so
+//! reads and writes, `PROFILE` and `EXPLAIN` all run the same operators.
+//! Each clause of a `UNION` segment is one `CompiledOp`; the driver
+//! threads a row set through them, all of which draw on a shared
+//! `ExecContext` for graph access, parameters, wall-clock limits, and the
+//! intermediate-row budget.
 //!
 //! Module map:
 //!
 //! | module        | operators |
 //! |---------------|-----------|
 //! | `context`   | [`ExecLimits`] and the shared `ExecContext` |
-//! | `scan`      | anchor access paths: index seek, range seek, label scan, all-nodes scan, bound variable |
-//! | `expand`    | `MATCH` / `OPTIONAL MATCH` pattern expansion |
-//! | `varlen`    | variable-length expansion and `shortestPath` |
-//! | `filter`    | predicate filtering (`WHERE`, shared by match and projection) |
-//! | `project`   | `WITH` / `RETURN` projection |
-//! | `aggregate` | grouped aggregation accumulators |
-//! | `sort`      | `ORDER BY`, `SKIP`, `LIMIT` |
+//! | `expand`    | `MATCH` / `OPTIONAL MATCH`: anchor access paths, pattern and variable-length expansion, `shortestPath`, `WHERE` pushdown, morsel-parallel fan-out |
+//! | `project`   | `WITH` / `RETURN` projection, grouping, DISTINCT, `ORDER BY`, `SKIP`, `LIMIT` |
+//! | `aggregate` | aggregate-call extraction and accumulators |
 //! | `unwind`    | `UNWIND` |
-//! | `union`     | `UNION` segmentation and result merging |
+//! | `union`     | `UNION` result merging |
 //! | [`write`]     | `CREATE`, `MERGE`, `SET`, `DELETE` |
 
 pub(crate) mod aggregate;
-pub(crate) mod compiled;
 pub(crate) mod context;
 pub(crate) mod expand;
-pub(crate) mod filter;
 pub(crate) mod project;
-pub(crate) mod scan;
-pub(crate) mod sort;
 pub(crate) mod union;
 pub(crate) mod unwind;
-pub(crate) mod varlen;
 pub(crate) mod write;
 
-use crate::ast::{Clause, Query};
-use crate::compile::{compile_query, CompiledQuery, CompiledSegment};
+use crate::ast::Query;
+use crate::compile::{compile, CompiledOp, CompiledQuery};
 use crate::error::CypherError;
 use crate::eval::{Env, Params, Row};
-use crate::pretty;
 use crate::profile::{ProfileCollector, QueryProfile};
 use crate::result::QueryResult;
 use iyp_graphdb::Graph;
-use std::fmt::Write as _;
 
 use context::ExecContext;
 pub use context::ExecLimits;
@@ -113,8 +106,7 @@ pub fn execute(graph: &mut Graph, q: &Query, params: &Params) -> Result<QueryRes
 /// Executes a read-only query whose compiled form was produced earlier
 /// (typically by [`crate::cache::PlanCache::prepare`]), skipping the
 /// per-execution compilation that [`execute_read_with_limits`] performs.
-/// `compiled` is ignored when `limits.compiled` is off or when it is
-/// `None` (the query falls back to the interpreter).
+/// `compiled` must come from `q`; given `None`, `q` is compiled here.
 pub fn execute_prepared_with_limits(
     graph: &Graph,
     q: &Query,
@@ -123,8 +115,10 @@ pub fn execute_prepared_with_limits(
     limits: ExecLimits,
 ) -> Result<QueryResult, CypherError> {
     let mut src = ReadOnly(graph);
-    let compiled = if limits.compiled { compiled } else { None };
-    run_with_profile(&mut src, q, compiled, params, limits, None)
+    match compiled {
+        Some(c) => run_compiled(&mut src, c, params, limits, None),
+        None => run(&mut src, q, params, limits),
+    }
 }
 
 /// Read-only or read-write access to the graph under execution.
@@ -155,17 +149,24 @@ impl GraphSource for ReadWrite<'_> {
     }
 }
 
-/// One physical operator in a query pipeline. Operators transform a
-/// materialized row set, drawing graph access, parameters, limits, and
-/// the row budget from the shared [`ExecContext`].
-pub(crate) trait Operator {
-    /// Operator name, as shown in plan introspection.
-    fn name(&self) -> &'static str;
+pub(crate) fn env_mismatch() -> CypherError {
+    CypherError::plan("internal: compiled environment mismatch")
+}
 
-    /// True for the terminal `RETURN` operator: the driver stops the
-    /// pipeline and converts its output into the query result.
-    fn is_terminal(&self) -> bool {
-        false
+impl CompiledOp {
+    /// Operator name, as shown in `PROFILE`.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            CompiledOp::Match(m) if m.clause.optional => "OptionalMatch",
+            CompiledOp::Match(_) => "Match",
+            CompiledOp::Unwind(_) => "Unwind",
+            CompiledOp::Project(_) => "Project",
+            CompiledOp::Return(_) => "Return",
+            CompiledOp::Create(_) => "Create",
+            CompiledOp::Merge(_) => "Merge",
+            CompiledOp::Set(_) => "Set",
+            CompiledOp::Delete(_) => "Delete",
+        }
     }
 
     /// Transforms the row set, possibly extending or replacing `env`.
@@ -174,45 +175,21 @@ pub(crate) trait Operator {
         cx: &mut ExecContext<'_>,
         env: &mut Env,
         rows: Vec<Row>,
-    ) -> Result<Vec<Row>, CypherError>;
-
-    /// Renders this operator's plan lines for [`crate::explain`].
-    /// `bound` accumulates the variables match operators bind, so later
-    /// operators can show bound-variable anchors.
-    fn explain_into(&self, graph: &Graph, bound: &mut Vec<String>, idx: usize, out: &mut String);
-}
-
-/// Builds the operator for one clause. `is_last` marks the query's final
-/// clause (RETURN elsewhere is rejected when it executes).
-pub(crate) fn build_clause_op<'q>(clause: &'q Clause, is_last: bool) -> Box<dyn Operator + 'q> {
-    match clause {
-        Clause::Match(m) => Box::new(expand::MatchOp { clause: m }),
-        Clause::Unwind { expr, var } => Box::new(unwind::UnwindOp { expr, var }),
-        Clause::With(p) => Box::new(project::ProjectOp { clause: p }),
-        Clause::Return(p) => Box::new(project::ReturnOp { clause: p, is_last }),
-        Clause::Create { patterns } => Box::new(write::CreateOp { patterns }),
-        Clause::Merge { node } => Box::new(write::MergeOp { node }),
-        Clause::Set { items } => Box::new(write::SetOp { items }),
-        Clause::Delete { vars, detach } => Box::new(write::DeleteOp {
-            vars,
-            detach: *detach,
-        }),
-        Clause::Union { all } => Box::new(union::UnionBoundaryOp { all: *all }),
+    ) -> Result<Vec<Row>, CypherError> {
+        match self {
+            CompiledOp::Match(m) => m.apply(cx, env, rows),
+            CompiledOp::Unwind(u) => u.apply(cx, env, rows),
+            CompiledOp::Project(p) => p.apply(cx, env, rows),
+            CompiledOp::Return(p) if !p.is_last => {
+                Err(CypherError::plan("RETURN must be the final clause"))
+            }
+            CompiledOp::Return(p) => p.apply(cx, env, rows),
+            CompiledOp::Create(c) => c.apply(cx, env, rows),
+            CompiledOp::Merge(m) => m.apply(cx, env, rows),
+            CompiledOp::Set(s) => s.apply(cx, env, rows),
+            CompiledOp::Delete(d) => d.apply(cx, env, rows),
+        }
     }
-}
-
-/// Renders a one-line plan entry for a clause-shaped operator: the
-/// clause's leading keyword.
-pub(crate) fn explain_simple(clause: &Clause, idx: usize, out: &mut String) {
-    writeln!(
-        out,
-        "{idx:>2}. {}",
-        pretty::clause_to_string(clause)
-            .split_whitespace()
-            .next()
-            .unwrap_or("?")
-    )
-    .expect("write to string");
 }
 
 /// Executes a parsed read-only query with per-operator measurement,
@@ -226,16 +203,9 @@ pub(crate) fn profile_read(
 ) -> Result<(QueryResult, QueryProfile), CypherError> {
     let mut src = ReadOnly(graph);
     let mut collector = ProfileCollector::new();
-    let compiled = limits.compiled.then(|| compile_query(q)).flatten();
+    let compiled = compile(q);
     let t0 = std::time::Instant::now();
-    let result = run_with_profile(
-        &mut src,
-        q,
-        compiled.as_ref(),
-        params,
-        limits,
-        Some(&mut collector),
-    )?;
+    let result = run_compiled(&mut src, &compiled, params, limits, Some(&mut collector))?;
     let total = t0.elapsed();
     let rows = result.rows.len() as u64;
     Ok((result, collector.finish(total, rows)))
@@ -247,53 +217,34 @@ fn run<G: GraphSource>(
     params: &Params,
     limits: ExecLimits,
 ) -> Result<QueryResult, CypherError> {
-    let compiled = limits.compiled.then(|| compile_query(q)).flatten();
-    run_with_profile(src, q, compiled.as_ref(), params, limits, None)
+    run_compiled(src, &compile(q), params, limits, None)
 }
 
-fn run_with_profile<G: GraphSource>(
+fn run_compiled<G: GraphSource>(
     src: &mut G,
-    q: &Query,
-    compiled: Option<&CompiledQuery>,
+    compiled: &CompiledQuery,
     params: &Params,
     limits: ExecLimits,
     prof: Option<&mut ProfileCollector>,
 ) -> Result<QueryResult, CypherError> {
-    // Split on UNION separators: each segment is a complete sub-query.
-    let segments = union::split_segments(q);
-    if segments.len() > 1 {
-        return union::run_segments(src, &segments, compiled, params, limits, prof);
+    match compiled.segments.as_slice() {
+        [ops] => run_single(src, ops, params, limits, prof),
+        _ => union::run_segments(src, compiled, params, limits, prof),
     }
-    let cs = compiled.and_then(|c| c.segments.first());
-    run_single(src, q, cs, params, limits, prof)
 }
 
-pub(crate) fn run_single<'q, G: GraphSource>(
+pub(crate) fn run_single<G: GraphSource>(
     src: &mut G,
-    q: &'q Query,
-    compiled: Option<&'q CompiledSegment>,
+    ops: &[CompiledOp],
     params: &Params,
     limits: ExecLimits,
     mut prof: Option<&mut ProfileCollector>,
 ) -> Result<QueryResult, CypherError> {
-    // Compiled operators are drop-in replacements (same names, same plan
-    // rendering, same results); any shape mismatch falls back to the
-    // interpreter rather than guessing.
-    let use_compiled = compiled.filter(|cs| cs.ops.len() == q.clauses.len());
-    let ops: Vec<Box<dyn Operator + 'q>> = match use_compiled {
-        Some(cs) => cs.ops.iter().map(compiled::build_compiled_op).collect(),
-        None => q
-            .clauses
-            .iter()
-            .enumerate()
-            .map(|(i, c)| build_clause_op(c, i + 1 == q.clauses.len()))
-            .collect(),
-    };
     let mut cx = ExecContext::new(src, params, limits);
     let mut env = Env::new();
     let mut rows: Vec<Row> = vec![Vec::new()];
     let mut result = QueryResult::empty();
-    for op in &ops {
+    for op in ops {
         // When profiling, bracket the operator with the clock and the
         // thread-local db-hit counter and record the deltas.
         let before = prof
@@ -302,15 +253,9 @@ pub(crate) fn run_single<'q, G: GraphSource>(
         rows = op.apply(&mut cx, &mut env, rows)?;
         if let (Some(p), Some((t0, h0))) = (prof.as_deref_mut(), before) {
             let hits = iyp_graphdb::dbhits::current().wrapping_sub(h0);
-            p.record(
-                op.as_ref(),
-                cx.graph(),
-                rows.len() as u64,
-                hits,
-                t0.elapsed(),
-            );
+            p.record(op, cx.graph(), rows.len() as u64, hits, t0.elapsed());
         }
-        if op.is_terminal() {
+        if matches!(op, CompiledOp::Return(_)) {
             // RETURN: convert the projected entries into result values.
             result.columns = env.names;
             result.rows = rows

@@ -1,86 +1,21 @@
 //! The projection operator (`WITH` / `RETURN`): item evaluation, star
-//! expansion, DISTINCT, and the post-projection environment in which
-//! `WHERE` and `ORDER BY` see both aliases and the original variables.
-//! Grouped aggregation is delegated to [`super::aggregate`], ordering and
-//! paging to [`super::sort`].
+//! expansion (done at compile time), grouped aggregation, DISTINCT, and
+//! the post-projection environment in which `WHERE` and `ORDER BY` see
+//! both aliases and the original variables, followed by `SKIP` / `LIMIT`.
 
-use crate::ast::{Clause, Expr, ProjectionClause, ProjectionItem};
+use crate::compile::{CExpr, CProject, Evaluator};
 use crate::error::CypherError;
-use crate::eval::{Entry, Env, EvalCtx, Params, Row};
-use iyp_graphdb::{Graph, Value, ValueKey};
-use std::collections::HashSet;
+use crate::eval::{Entry, Env, Row};
+use iyp_graphdb::{Value, ValueKey};
+use std::collections::{HashMap, HashSet};
 
+use super::aggregate::AggAccum;
 use super::context::ExecContext;
-use super::{aggregate, filter, sort, Operator};
-
-/// `WITH`: projects rows into a fresh environment mid-pipeline.
-pub(crate) struct ProjectOp<'q> {
-    pub clause: &'q ProjectionClause,
-}
-
-impl Operator for ProjectOp<'_> {
-    fn name(&self) -> &'static str {
-        "Project"
-    }
-
-    fn apply(
-        &self,
-        cx: &mut ExecContext<'_>,
-        env: &mut Env,
-        rows: Vec<Row>,
-    ) -> Result<Vec<Row>, CypherError> {
-        let (new_env, new_rows) = project(cx.graph(), env, rows, self.clause, cx.params)?;
-        *env = new_env;
-        Ok(new_rows)
-    }
-
-    fn explain_into(&self, _graph: &Graph, _bound: &mut Vec<String>, idx: usize, out: &mut String) {
-        super::explain_simple(&Clause::With(self.clause.clone()), idx, out);
-    }
-}
-
-/// `RETURN`: the terminal projection. Must be the final operator of its
-/// pipeline segment; the driver converts its output rows into the
-/// [`crate::result::QueryResult`].
-pub(crate) struct ReturnOp<'q> {
-    pub clause: &'q ProjectionClause,
-    /// False when RETURN is not the query's final clause — rejected at
-    /// apply time (after any earlier clauses have run, matching the
-    /// clause-by-clause interpreter's behavior).
-    pub is_last: bool,
-}
-
-impl Operator for ReturnOp<'_> {
-    fn name(&self) -> &'static str {
-        "Return"
-    }
-
-    fn is_terminal(&self) -> bool {
-        true
-    }
-
-    fn apply(
-        &self,
-        cx: &mut ExecContext<'_>,
-        env: &mut Env,
-        rows: Vec<Row>,
-    ) -> Result<Vec<Row>, CypherError> {
-        if !self.is_last {
-            return Err(CypherError::plan("RETURN must be the final clause"));
-        }
-        let (new_env, new_rows) = project(cx.graph(), env, rows, self.clause, cx.params)?;
-        *env = new_env;
-        Ok(new_rows)
-    }
-
-    fn explain_into(&self, _graph: &Graph, _bound: &mut Vec<String>, idx: usize, out: &mut String) {
-        super::explain_simple(&Clause::Return(self.clause.clone()), idx, out);
-    }
-}
+use super::env_mismatch;
 
 /// A stable identity key for a projected entry, used for DISTINCT and
 /// aggregation grouping.
-pub(crate) fn entry_key(_graph: &Graph, e: &Entry) -> ValueKey {
+fn entry_key(e: &Entry) -> ValueKey {
     match e {
         Entry::Node(id) => ValueKey::List(vec![
             ValueKey::Str("#node".into()),
@@ -100,165 +35,185 @@ pub(crate) fn entry_key(_graph: &Graph, e: &Entry) -> ValueKey {
     }
 }
 
-/// The post-projection evaluation environment: projected names first
-/// (aliases shadow originals; `slot` finds the first occurrence), then the
-/// evaluation context's remaining names (original vars + agg slots).
-pub(crate) struct PostProject {
-    pub env: Env,
-    /// Indices into the evaluation-context row appended after the
-    /// projected entries.
-    appended: Vec<usize>,
+/// The projected row extended with the non-shadowed evaluation-context
+/// entries: the row `WHERE` and `ORDER BY` evaluate against, where
+/// aliases shadow the original variables.
+fn extend(p: &CProject, proj: &Row, ctx_row: &Row) -> Row {
+    let mut r = proj.clone();
+    for &i in &p.appended {
+        r.push(ctx_row.get(i).cloned().unwrap_or(Entry::Val(Value::Null)));
+    }
+    r
 }
 
-impl PostProject {
-    fn new(out_names: &[String], eval_env: &Env) -> PostProject {
-        let mut post_names = out_names.to_vec();
-        let appended: Vec<usize> = eval_env
-            .names
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| !out_names.contains(n))
-            .map(|(i, _)| i)
-            .collect();
-        for &i in &appended {
-            post_names.push(eval_env.names[i].clone());
+impl CProject {
+    pub(crate) fn apply(
+        &self,
+        cx: &mut ExecContext<'_>,
+        env: &mut Env,
+        rows: Vec<Row>,
+    ) -> Result<Vec<Row>, CypherError> {
+        if self.empty {
+            return Err(CypherError::plan("projection with no items"));
         }
-        PostProject {
-            env: Env { names: post_names },
-            appended,
+        if env.names != self.env_before {
+            return Err(env_mismatch());
         }
-    }
-
-    /// The projected row extended with the non-shadowed context entries.
-    pub fn extend(&self, proj: &Row, ctx_row: &Row) -> Row {
-        let mut r = proj.clone();
-        for &i in &self.appended {
-            r.push(ctx_row.get(i).cloned().unwrap_or(Entry::Val(Value::Null)));
-        }
-        r
+        project(cx, env, rows, self)
     }
 }
 
-pub(crate) fn project(
-    graph: &Graph,
-    env: &Env,
+fn project(
+    cx: &mut ExecContext<'_>,
+    env: &mut Env,
     rows: Vec<Row>,
-    p: &ProjectionClause,
-    params: &Params,
-) -> Result<(Env, Vec<Row>), CypherError> {
-    // Expand `*` into explicit items.
-    let mut items: Vec<ProjectionItem> = Vec::new();
-    if p.star {
-        for name in &env.names {
-            items.push(ProjectionItem {
-                expr: Expr::Var(name.clone()),
-                alias: Some(name.clone()),
-            });
-        }
-    }
-    items.extend(p.items.iter().cloned());
-    if items.is_empty() {
-        return Err(CypherError::plan("projection with no items"));
-    }
-
-    let has_agg = items.iter().any(|it| it.expr.contains_aggregate())
-        || p.order_by.iter().any(|k| k.expr.contains_aggregate());
-
-    // Rewrite aggregates out of item and order-key expressions.
-    let mut specs: Vec<aggregate::AggSpec> = Vec::new();
-    let rewritten: Vec<Expr> = items
-        .iter()
-        .map(|it| aggregate::extract_aggs(&it.expr, &mut specs))
-        .collect();
-    let order_rewritten: Vec<Expr> = p
-        .order_by
-        .iter()
-        .map(|k| aggregate::extract_aggs(&k.expr, &mut specs))
-        .collect();
-
-    let out_names: Vec<String> = items.iter().map(|it| it.name()).collect();
-
-    // Environment in which rewritten expressions are evaluated:
-    // original vars + __agg slots (aggregation case only).
-    let mut eval_env = env.clone();
-    for i in 0..specs.len() {
-        eval_env.push(format!("__agg{i}"));
-    }
-
-    // (projected row, context row for ORDER BY evaluation)
-    let mut projected: Vec<(Row, Row)> = if has_agg || !specs.is_empty() {
-        // Grouping keys: projection items without aggregates.
-        let key_exprs: Vec<&ProjectionItem> = items
-            .iter()
-            .filter(|it| !it.expr.contains_aggregate())
-            .collect();
-        aggregate::aggregate_rows(
-            graph, env, &eval_env, &rows, params, &key_exprs, &specs, &rewritten,
-        )?
+    p: &CProject,
+) -> Result<Vec<Row>, CypherError> {
+    let cev = Evaluator {
+        graph: cx.graph(),
+        params: cx.params,
+    };
+    let mut projected: Vec<(Row, Row)> = if p.use_agg {
+        aggregate_rows(&cev, &rows, p)?
     } else {
-        let ctx = EvalCtx { graph, env, params };
         let mut out = Vec::with_capacity(rows.len());
         for row in rows {
-            let mut out_row = Vec::with_capacity(rewritten.len());
-            for rexpr in &rewritten {
-                out_row.push(ctx.eval(rexpr, &row)?);
+            let mut out_row = Vec::with_capacity(p.rewritten.len());
+            for rexpr in &p.rewritten {
+                out_row.push(cev.eval_c(rexpr, &row)?);
             }
             out.push((out_row, row));
         }
         out
     };
 
-    // DISTINCT.
     if p.distinct {
         let mut seen = HashSet::new();
         projected.retain(|(r, _)| {
-            let key: Vec<ValueKey> = r.iter().map(|e| entry_key(graph, e)).collect();
+            let key: Vec<ValueKey> = r.iter().map(entry_key).collect();
             seen.insert(key)
         });
     }
 
-    let post = PostProject::new(&out_names, &eval_env);
-
-    // WHERE (WITH ... WHERE).
-    if let Some(w) = &p.where_clause {
-        let mut w_specs = Vec::new();
-        let w_re = aggregate::extract_aggs(w, &mut w_specs);
-        if !w_specs.is_empty() {
-            return Err(CypherError::plan(
-                "aggregate functions are not allowed in WITH ... WHERE; project them first",
-            ));
-        }
-        let ctx = EvalCtx {
-            graph,
-            env: &post.env,
-            params,
-        };
+    if p.where_agg {
+        return Err(CypherError::plan(
+            "aggregate functions are not allowed in WITH ... WHERE; project them first",
+        ));
+    }
+    if let Some(w) = &p.where_c {
         let mut kept = Vec::with_capacity(projected.len());
         for (proj, ctx_row) in projected {
-            let ext = post.extend(&proj, &ctx_row);
-            if filter::predicate_keeps(&ctx, &w_re, &ext)? {
+            let ext = extend(p, &proj, &ctx_row);
+            if cev.eval_c_value(w, &ext)?.is_true() {
                 kept.push((proj, ctx_row));
             }
         }
         projected = kept;
     }
 
-    // ORDER BY.
-    if !p.order_by.is_empty() {
-        projected = sort::order_rows(
-            graph,
-            params,
-            &post,
-            &p.order_by,
-            &order_rewritten,
-            projected,
-        )?;
+    if !p.order_c.is_empty() {
+        let mut keyed: Vec<(Vec<Value>, (Row, Row))> = Vec::with_capacity(projected.len());
+        for (proj, ctx_row) in projected {
+            let ext = extend(p, &proj, &ctx_row);
+            let mut keys = Vec::with_capacity(p.order_c.len());
+            for (oe, _) in &p.order_c {
+                keys.push(cev.eval_c_value(oe, &ext)?);
+            }
+            keyed.push((keys, (proj, ctx_row)));
+        }
+        keyed.sort_by(|(ka, _), (kb, _)| {
+            for (i, (_, ascending)) in p.order_c.iter().enumerate() {
+                let c = ka[i].order_key_cmp(&kb[i]);
+                let c = if *ascending { c } else { c.reverse() };
+                if c != std::cmp::Ordering::Equal {
+                    return c;
+                }
+            }
+            std::cmp::Ordering::Equal
+        });
+        projected = keyed.into_iter().map(|(_, v)| v).collect();
     }
 
-    // SKIP / LIMIT.
-    projected = sort::apply_skip_limit(graph, env, params, &p.skip, &p.limit, projected)?;
+    // SKIP / LIMIT: evaluated row-free.
+    let eval_count = |e: &CExpr| -> Result<usize, CypherError> {
+        let v = cev.eval_c_value(e, &Vec::new())?;
+        v.as_int()
+            .filter(|i| *i >= 0)
+            .map(|i| i as usize)
+            .ok_or_else(|| CypherError::runtime("SKIP/LIMIT must be a non-negative integer"))
+    };
+    if let Some(e) = &p.skip_c {
+        let n = eval_count(e)?;
+        projected = projected.into_iter().skip(n).collect();
+    }
+    if let Some(e) = &p.limit_c {
+        let n = eval_count(e)?;
+        projected.truncate(n);
+    }
 
-    let out_env = Env { names: out_names };
-    let out_rows = projected.into_iter().map(|(r, _)| r).collect();
-    Ok((out_env, out_rows))
+    *env = Env {
+        names: p.out_names.clone(),
+    };
+    Ok(projected.into_iter().map(|(r, _)| r).collect())
+}
+
+fn aggregate_rows(
+    cev: &Evaluator<'_>,
+    rows: &[Row],
+    p: &CProject,
+) -> Result<Vec<(Row, Row)>, CypherError> {
+    let mut groups: HashMap<Vec<ValueKey>, usize> = HashMap::new();
+    let mut group_data: Vec<(Row, Vec<AggAccum>)> = Vec::new();
+    for row in rows {
+        let mut key = Vec::with_capacity(p.keys_c.len());
+        for ke in &p.keys_c {
+            key.push(entry_key(&cev.eval_c(ke, row)?));
+        }
+        let gi = match groups.get(&key) {
+            Some(&i) => i,
+            None => {
+                let mut states = Vec::with_capacity(p.specs.len());
+                for spec in &p.specs {
+                    let pval = match &spec.extra {
+                        Some(e) => cev.eval_c_value(e, row)?.as_f64().unwrap_or(0.5),
+                        None => 0.5,
+                    };
+                    states.push(AggAccum::new(&spec.name, spec.distinct, pval));
+                }
+                group_data.push((row.clone(), states));
+                groups.insert(key, group_data.len() - 1);
+                group_data.len() - 1
+            }
+        };
+        for (si, spec) in p.specs.iter().enumerate() {
+            let val = match &spec.arg {
+                None => None,
+                Some(e) => Some(cev.eval_c_value(e, row)?),
+            };
+            group_data[gi].1[si].update(val)?;
+        }
+    }
+    // Global aggregation over zero rows still yields one group.
+    if group_data.is_empty() && p.keys_c.is_empty() {
+        let states = p
+            .specs
+            .iter()
+            .map(|s| AggAccum::new(&s.name, s.distinct, 0.5))
+            .collect();
+        let null_row: Row = vec![Entry::Val(Value::Null); p.env_len];
+        group_data.push((null_row, states));
+    }
+    let mut projected = Vec::with_capacity(group_data.len());
+    for (rep_row, states) in group_data {
+        let mut ext = rep_row.clone();
+        for st in states {
+            ext.push(Entry::Val(st.finish()));
+        }
+        let mut out_row = Vec::with_capacity(p.rewritten.len());
+        for rexpr in &p.rewritten {
+            out_row.push(cev.eval_c(rexpr, &ext)?);
+        }
+        projected.push((out_row, ext));
+    }
+    Ok(projected)
 }

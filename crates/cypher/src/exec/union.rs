@@ -1,56 +1,31 @@
-//! The union operator: splits a query at `UNION` / `UNION ALL`
-//! separators, runs each segment as an independent pipeline, and merges
-//! the results — deduplicating unless every separator was `UNION ALL`.
+//! `UNION` execution: runs each segment of a compiled query as its own
+//! pipeline and merges the results — deduplicating unless some separator
+//! was `UNION ALL`.
 
-use crate::ast::{Clause, Query};
+use crate::compile::CompiledQuery;
 use crate::error::CypherError;
-use crate::eval::{Env, Row};
+use crate::eval::Params;
+use crate::profile::ProfileCollector;
 use crate::result::QueryResult;
-use iyp_graphdb::{Graph, ValueKey};
+use iyp_graphdb::ValueKey;
 use std::collections::HashSet;
 
-use super::context::{ExecContext, ExecLimits};
-use super::{GraphSource, Operator};
+use super::context::ExecLimits;
+use super::GraphSource;
 
-/// Splits `q` at UNION separators. Each entry is one segment's clauses
-/// plus the `all` flag of the separator *preceding* it (false for the
-/// first segment).
-pub(crate) fn split_segments(q: &Query) -> Vec<(&[Clause], bool)> {
-    let mut out: Vec<(&[Clause], bool)> = Vec::new();
-    let mut start = 0usize;
-    let mut keep_dups = false; // `all` flag of the *preceding* UNION
-    for (i, c) in q.clauses.iter().enumerate() {
-        if let Clause::Union { all } = c {
-            out.push((&q.clauses[start..i], keep_dups));
-            keep_dups = *all;
-            start = i + 1;
-        }
-    }
-    out.push((&q.clauses[start..], keep_dups));
-    out
-}
-
-/// Runs each segment as its own pipeline and merges the results. When
-/// profiling, each segment's operators are recorded in order and a final
-/// synthetic `Union` entry covers the merge/dedup step.
+/// Runs each segment and merges the results. When profiling, each
+/// segment's operators are recorded in order and a final synthetic
+/// `Union` entry covers the merge/dedup step.
 pub(crate) fn run_segments<G: GraphSource>(
     src: &mut G,
-    segments: &[(&[Clause], bool)],
-    compiled: Option<&crate::compile::CompiledQuery>,
-    params: &crate::eval::Params,
+    compiled: &CompiledQuery,
+    params: &Params,
     limits: ExecLimits,
-    mut prof: Option<&mut crate::profile::ProfileCollector>,
+    mut prof: Option<&mut ProfileCollector>,
 ) -> Result<QueryResult, CypherError> {
-    // Use compiled segments only when they align one-to-one with the
-    // split; a mismatch means the compiled form came from a different
-    // query shape, so run interpreted instead of guessing.
-    let compiled_segments = compiled
-        .map(|c| &c.segments)
-        .filter(|cs| cs.len() == segments.len());
     let mut combined = QueryResult::empty();
-    let mut dedup_all = true;
-    for (i, (clauses, all_flag)) in segments.iter().enumerate() {
-        if clauses.is_empty() {
+    for (i, ops) in compiled.segments.iter().enumerate() {
+        if ops.is_empty() {
             return Err(CypherError::plan("empty UNION branch"));
         }
         if let Some(p) = prof.as_deref_mut() {
@@ -58,11 +33,7 @@ pub(crate) fn run_segments<G: GraphSource>(
                 p.segment_boundary();
             }
         }
-        let sub = Query {
-            clauses: clauses.to_vec(),
-        };
-        let cs = compiled_segments.map(|c| &c[i]);
-        let result = super::run_single(src, &sub, cs, params, limits, prof.as_deref_mut())?;
+        let result = super::run_single(src, ops, params, limits, prof.as_deref_mut())?;
         if i == 0 {
             combined.columns = result.columns;
         } else if combined.columns.len() != result.columns.len() {
@@ -72,13 +43,10 @@ pub(crate) fn run_segments<G: GraphSource>(
                 result.columns.len()
             )));
         }
-        if *all_flag {
-            dedup_all = false;
-        }
         combined.rows.extend(result.rows);
     }
     let merge_start = prof.as_ref().map(|_| std::time::Instant::now());
-    if dedup_all {
+    if !compiled.keep_duplicates {
         let mut seen = HashSet::new();
         combined
             .rows
@@ -88,29 +56,4 @@ pub(crate) fn run_segments<G: GraphSource>(
         p.record_synthetic("Union", combined.rows.len() as u64, t0.elapsed());
     }
     Ok(combined)
-}
-
-/// A `UNION` separator. Never executed — the driver splits queries into
-/// segments before building pipelines — but rendered by EXPLAIN.
-pub(crate) struct UnionBoundaryOp {
-    pub all: bool,
-}
-
-impl Operator for UnionBoundaryOp {
-    fn name(&self) -> &'static str {
-        "Union"
-    }
-
-    fn apply(
-        &self,
-        _cx: &mut ExecContext<'_>,
-        _env: &mut Env,
-        _rows: Vec<Row>,
-    ) -> Result<Vec<Row>, CypherError> {
-        unreachable!("UNION separators are split out before run_single")
-    }
-
-    fn explain_into(&self, _graph: &Graph, _bound: &mut Vec<String>, idx: usize, out: &mut String) {
-        super::explain_simple(&Clause::Union { all: self.all }, idx, out);
-    }
 }

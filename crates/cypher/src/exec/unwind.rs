@@ -1,44 +1,34 @@
 //! The unwind operator: `UNWIND expr AS var` — expands a list-valued
 //! expression into one row per element.
 
-use crate::ast::{Clause, Expr};
+use crate::compile::{CUnwind, Evaluator};
 use crate::error::CypherError;
-use crate::eval::{Entry, Env, EvalCtx, Row};
-use iyp_graphdb::{Graph, Value};
+use crate::eval::{Entry, Env, Row};
+use iyp_graphdb::Value;
 
 use super::context::ExecContext;
-use super::Operator;
+use super::env_mismatch;
 
-pub(crate) struct UnwindOp<'q> {
-    pub expr: &'q Expr,
-    pub var: &'q str,
-}
-
-impl Operator for UnwindOp<'_> {
-    fn name(&self) -> &'static str {
-        "Unwind"
-    }
-
-    fn apply(
+impl CUnwind {
+    pub(crate) fn apply(
         &self,
         cx: &mut ExecContext<'_>,
         env: &mut Env,
         rows: Vec<Row>,
     ) -> Result<Vec<Row>, CypherError> {
-        let values: Vec<(Row, Value)> = {
-            let ctx = EvalCtx {
-                graph: cx.graph(),
-                env,
-                params: cx.params,
-            };
-            let mut out = Vec::new();
-            for row in rows {
-                let v = ctx.eval_value(self.expr, &row)?;
-                out.push((row, v));
-            }
-            out
+        if env.names != self.env_before {
+            return Err(env_mismatch());
+        }
+        let cev = Evaluator {
+            graph: cx.graph(),
+            params: cx.params,
         };
-        env.push(self.var.to_string());
+        let mut values: Vec<(Row, Value)> = Vec::with_capacity(rows.len());
+        for row in rows {
+            let v = cev.eval_c_value(&self.expr_c, &row)?;
+            values.push((row, v));
+        }
+        env.push(self.var.clone());
         let mut out = Vec::new();
         for (row, v) in values {
             match v {
@@ -58,16 +48,5 @@ impl Operator for UnwindOp<'_> {
             }
         }
         Ok(out)
-    }
-
-    fn explain_into(&self, _graph: &Graph, _bound: &mut Vec<String>, idx: usize, out: &mut String) {
-        super::explain_simple(
-            &Clause::Unwind {
-                expr: self.expr.clone(),
-                var: self.var.to_string(),
-            },
-            idx,
-            out,
-        );
     }
 }

@@ -1,45 +1,43 @@
 //! The write operators used by the dataset loader and tests: `CREATE`,
-//! `MERGE`, `SET`, `DELETE`. These are the only operators that request
-//! mutable graph access from the context; in read-only execution that
-//! request fails with a plan error.
+//! `MERGE`, `SET` (and `REMOVE`, which desugars to it), `DELETE`. These
+//! are the only operators that request mutable graph access from the
+//! context; in read-only execution that request fails with a plan error.
 
-use crate::ast::{Clause, Expr, NodePattern, PatternPart, RelDir, SetItem};
+use crate::ast::RelDir;
+use crate::compile::{CCreate, CCreateNode, CDelete, CExpr, CMerge, CSet, Evaluator};
 use crate::error::CypherError;
-use crate::eval::{Entry, Env, EvalCtx, Params, Row};
-use crate::plan;
+use crate::eval::{Entry, Env, Params, Row};
 use iyp_graphdb::{Direction, Graph, NodeId, Props, RelId, Value};
-use std::collections::HashSet;
 
 use super::context::ExecContext;
-use super::Operator;
+use super::env_mismatch;
 
-/// `CREATE pattern`.
-pub(crate) struct CreateOp<'q> {
-    pub patterns: &'q [PatternPart],
+fn eval_props(
+    graph: &Graph,
+    params: &Params,
+    row: &Row,
+    props: &[(String, CExpr)],
+) -> Result<Props, CypherError> {
+    let cev = Evaluator { graph, params };
+    let mut out = Props::new();
+    for (k, e) in props {
+        out.set(k.clone(), cev.eval_c_value(e, row)?);
+    }
+    Ok(out)
 }
 
-impl Operator for CreateOp<'_> {
-    fn name(&self) -> &'static str {
-        "Create"
-    }
-
-    fn apply(
+impl CCreate {
+    pub(crate) fn apply(
         &self,
         cx: &mut ExecContext<'_>,
         env: &mut Env,
         rows: Vec<Row>,
     ) -> Result<Vec<Row>, CypherError> {
-        let patterns = self.patterns;
-        // Extend env with new vars.
-        let mut new_slots = HashSet::new();
-        for part in patterns {
-            let mut vars = Vec::new();
-            plan::collect_part_vars(part, &mut vars);
-            for v in vars {
-                if env.slot(&v).is_none() {
-                    new_slots.insert(env.push(v));
-                }
-            }
+        if env.names != self.env_before {
+            return Err(env_mismatch());
+        }
+        for v in &self.new_vars {
+            env.push(v.clone());
         }
         let width = env.names.len();
         let params = cx.params;
@@ -47,31 +45,28 @@ impl Operator for CreateOp<'_> {
         let mut out = Vec::with_capacity(rows.len());
         for mut row in rows {
             row.resize(width, Entry::Val(Value::Null));
-            for part in patterns {
-                let mut cur =
-                    create_node_or_reuse(graph, env, &mut row, &part.start, params, &new_slots)?;
-                for (rel_pat, node_pat) in &part.hops {
-                    if !rel_pat.hops.is_single() {
+            for part in &self.parts {
+                let mut cur = create_node_or_reuse(graph, params, &mut row, &part.start)?;
+                for (rel, node) in &part.hops {
+                    if !rel.single {
                         return Err(CypherError::plan(
                             "CREATE does not allow variable-length relationships",
                         ));
                     }
-                    let next =
-                        create_node_or_reuse(graph, env, &mut row, node_pat, params, &new_slots)?;
-                    let ty = rel_pat.types.first().ok_or_else(|| {
+                    let next = create_node_or_reuse(graph, params, &mut row, node)?;
+                    let ty = rel.rel_type.as_ref().ok_or_else(|| {
                         CypherError::plan("CREATE relationships must have a type")
                     })?;
-                    let (src, dst) = match rel_pat.dir {
+                    let (src, dst) = match rel.dir {
                         RelDir::Right => (cur, next),
                         RelDir::Left => (next, cur),
                         RelDir::Undirected => {
                             return Err(CypherError::plan("CREATE relationships must be directed"))
                         }
                     };
-                    let props = eval_props(graph, env, &row, &rel_pat.props, params)?;
+                    let props = eval_props(graph, params, &row, &rel.props)?;
                     let rid = graph.add_rel(src, ty, dst, props)?;
-                    if let Some(rv) = &rel_pat.var {
-                        let slot = env.slot(rv).expect("pushed above");
+                    if let Some(slot) = rel.slot {
                         row[slot] = Entry::Rel(rid);
                     }
                     cur = next;
@@ -81,101 +76,62 @@ impl Operator for CreateOp<'_> {
         }
         Ok(out)
     }
-
-    fn explain_into(&self, _graph: &Graph, _bound: &mut Vec<String>, idx: usize, out: &mut String) {
-        super::explain_simple(
-            &Clause::Create {
-                patterns: self.patterns.to_vec(),
-            },
-            idx,
-            out,
-        );
-    }
 }
 
 fn create_node_or_reuse(
     graph: &mut Graph,
-    env: &Env,
-    row: &mut Row,
-    pat: &NodePattern,
     params: &Params,
-    new_slots: &HashSet<usize>,
+    row: &mut Row,
+    node: &CCreateNode,
 ) -> Result<NodeId, CypherError> {
-    if let Some(v) = &pat.var {
-        let slot = env
-            .slot(v)
-            .ok_or_else(|| CypherError::plan(format!("variable '{v}' missing")))?;
-        if let Entry::Node(id) = &row[slot] {
+    if let Some((name, slot)) = &node.var {
+        if let Entry::Node(id) = &row[*slot] {
             // Reuse a node bound earlier (by MATCH or earlier in CREATE).
             return Ok(*id);
         }
-        if !new_slots.contains(&slot) && !row[slot].is_null() {
+        if node.pre_bound && !row[*slot].is_null() {
             return Err(CypherError::runtime(format!(
-                "variable '{v}' is bound to a non-node value"
+                "variable '{name}' is bound to a non-node value"
             )));
         }
     }
-    let props = eval_props(graph, env, row, &pat.props, params)?;
-    let id = graph.add_node(pat.labels.iter().map(String::as_str), props);
-    if let Some(v) = &pat.var {
-        let slot = env.slot(v).expect("checked above");
-        row[slot] = Entry::Node(id);
+    let props = eval_props(graph, params, row, &node.props)?;
+    let id = graph.add_node(node.labels.iter().map(String::as_str), props);
+    if let Some((_, slot)) = &node.var {
+        row[*slot] = Entry::Node(id);
     }
     Ok(id)
 }
 
-fn eval_props(
-    graph: &Graph,
-    env: &Env,
-    row: &Row,
-    props: &[(String, Expr)],
-    params: &Params,
-) -> Result<Props, CypherError> {
-    let ctx = EvalCtx { graph, env, params };
-    let mut out = Props::new();
-    for (k, e) in props {
-        out.set(k.clone(), ctx.eval_value(e, row)?);
-    }
-    Ok(out)
-}
-
-/// `MERGE (node)`.
-pub(crate) struct MergeOp<'q> {
-    pub node: &'q NodePattern,
-}
-
-impl Operator for MergeOp<'_> {
-    fn name(&self) -> &'static str {
-        "Merge"
-    }
-
-    fn apply(
+impl CMerge {
+    pub(crate) fn apply(
         &self,
         cx: &mut ExecContext<'_>,
         env: &mut Env,
         rows: Vec<Row>,
     ) -> Result<Vec<Row>, CypherError> {
-        let node = self.node;
-        let var_slot = node.var.as_ref().map(|v| match env.slot(v) {
-            Some(s) => s,
-            None => env.push(v.clone()),
-        });
+        if env.names != self.env_before {
+            return Err(env_mismatch());
+        }
+        if let Some(v) = &self.new_var {
+            env.push(v.clone());
+        }
         let width = env.names.len();
         let params = cx.params;
         let graph = cx.graph_mut()?;
         let mut out = Vec::new();
         for mut row in rows {
             row.resize(width, Entry::Val(Value::Null));
-            let props = eval_props(graph, env, &row, &node.props, params)?;
+            let props = eval_props(graph, params, &row, &self.props)?;
             // Find all nodes carrying every label with exactly-equal listed props.
-            let candidates: Vec<NodeId> = match node.labels.first() {
+            let candidates: Vec<NodeId> = match self.labels.first() {
                 Some(first) => graph.nodes_with_label(first).collect(),
                 None => graph.all_nodes().collect(),
             };
             let matches: Vec<NodeId> = candidates
                 .into_iter()
                 .filter(|&id| {
-                    node.labels.iter().all(|l| graph.node_has_label(id, l))
+                    self.labels.iter().all(|l| graph.node_has_label(id, l))
                         && props.iter().all(|(k, v)| {
                             graph
                                 .node(id)
@@ -185,15 +141,15 @@ impl Operator for MergeOp<'_> {
                 })
                 .collect();
             if matches.is_empty() {
-                let id = graph.add_node(node.labels.iter().map(String::as_str), props);
-                if let Some(slot) = var_slot {
+                let id = graph.add_node(self.labels.iter().map(String::as_str), props);
+                if let Some(slot) = self.slot {
                     row[slot] = Entry::Node(id);
                 }
                 out.push(row);
             } else {
                 for id in matches {
                     let mut r = row.clone();
-                    if let Some(slot) = var_slot {
+                    if let Some(slot) = self.slot {
                         r[slot] = Entry::Node(id);
                     }
                     out.push(r);
@@ -202,70 +158,38 @@ impl Operator for MergeOp<'_> {
         }
         Ok(out)
     }
-
-    fn explain_into(&self, _graph: &Graph, _bound: &mut Vec<String>, idx: usize, out: &mut String) {
-        super::explain_simple(
-            &Clause::Merge {
-                node: self.node.clone(),
-            },
-            idx,
-            out,
-        );
-    }
 }
 
-/// `SET var.key = expr` / `SET var += {map}`.
-pub(crate) struct SetOp<'q> {
-    pub items: &'q [SetItem],
-}
-
-impl Operator for SetOp<'_> {
-    fn name(&self) -> &'static str {
-        "Set"
-    }
-
-    fn apply(
+impl CSet {
+    pub(crate) fn apply(
         &self,
         cx: &mut ExecContext<'_>,
         env: &mut Env,
         rows: Vec<Row>,
     ) -> Result<Vec<Row>, CypherError> {
+        if env.names != self.env_before {
+            return Err(env_mismatch());
+        }
         for row in &rows {
-            for item in self.items {
-                let (var, updates) = match item {
-                    SetItem::Prop { var, key, expr } => {
-                        let value = {
-                            let ctx = EvalCtx {
-                                graph: cx.graph(),
-                                env,
-                                params: cx.params,
-                            };
-                            ctx.eval_value(expr, row)?
-                        };
-                        (var, vec![(key.clone(), value)])
-                    }
-                    SetItem::MergeMap { var, expr } => {
-                        let value = {
-                            let ctx = EvalCtx {
-                                graph: cx.graph(),
-                                env,
-                                params: cx.params,
-                            };
-                            ctx.eval_value(expr, row)?
-                        };
-                        match value {
-                            Value::Map(m) => (var, m.into_iter().collect::<Vec<_>>()),
-                            Value::Null => (var, Vec::new()),
-                            other => {
-                                return Err(CypherError::runtime(format!(
-                                    "SET += expects a map, got {}",
-                                    other.type_name()
-                                )))
-                            }
-                        }
+            for item in &self.items {
+                let value = Evaluator {
+                    graph: cx.graph(),
+                    params: cx.params,
+                }
+                .eval_c_value(&item.expr, row)?;
+                let updates = match (&item.key, value) {
+                    (Some(key), value) => vec![(key.clone(), value)],
+                    (None, Value::Map(m)) => m.into_iter().collect(),
+                    (None, Value::Null) => Vec::new(),
+                    (None, other) => {
+                        return Err(CypherError::runtime(format!(
+                            "SET += expects a map, got {}",
+                            other.type_name()
+                        )))
                     }
                 };
-                let slot = env.slot(var).ok_or_else(|| {
+                let var = &item.var;
+                let slot = item.slot.ok_or_else(|| {
                     CypherError::runtime(format!("variable '{var}' is not defined"))
                 })?;
                 for (key, value) in updates {
@@ -284,40 +208,23 @@ impl Operator for SetOp<'_> {
         }
         Ok(rows)
     }
-
-    fn explain_into(&self, _graph: &Graph, _bound: &mut Vec<String>, idx: usize, out: &mut String) {
-        super::explain_simple(
-            &Clause::Set {
-                items: self.items.to_vec(),
-            },
-            idx,
-            out,
-        );
-    }
 }
 
-/// `DELETE` / `DETACH DELETE`.
-pub(crate) struct DeleteOp<'q> {
-    pub vars: &'q [String],
-    pub detach: bool,
-}
-
-impl Operator for DeleteOp<'_> {
-    fn name(&self) -> &'static str {
-        "Delete"
-    }
-
-    fn apply(
+impl CDelete {
+    pub(crate) fn apply(
         &self,
         cx: &mut ExecContext<'_>,
         env: &mut Env,
         rows: Vec<Row>,
     ) -> Result<Vec<Row>, CypherError> {
+        if env.names != self.env_before {
+            return Err(env_mismatch());
+        }
         let mut nodes: Vec<NodeId> = Vec::new();
         let mut rels: Vec<RelId> = Vec::new();
         for row in &rows {
-            for var in self.vars {
-                let slot = env.slot(var).ok_or_else(|| {
+            for (var, slot) in &self.vars {
+                let slot = slot.ok_or_else(|| {
                     CypherError::runtime(format!("variable '{var}' is not defined"))
                 })?;
                 match &row[slot] {
@@ -353,16 +260,5 @@ impl Operator for DeleteOp<'_> {
             }
         }
         Ok(rows)
-    }
-
-    fn explain_into(&self, _graph: &Graph, _bound: &mut Vec<String>, idx: usize, out: &mut String) {
-        super::explain_simple(
-            &Clause::Delete {
-                vars: self.vars.to_vec(),
-                detach: self.detach,
-            },
-            idx,
-            out,
-        );
     }
 }

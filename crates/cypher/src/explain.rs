@@ -1,13 +1,17 @@
-//! `EXPLAIN`-style plan introspection: builds the same operator pipeline
-//! the executor would run and renders each operator's plan — for match
-//! operators, the access path the planner chose (index seek, range seek,
-//! label scan, full scan, bound-variable anchor) and the expansion order —
-//! without executing anything.
+//! `EXPLAIN`-style plan introspection: compiles the query and renders each
+//! operator's plan — for match operators, the access path the planner
+//! chose (index seek, range seek, label scan, full scan, bound-variable
+//! anchor) and the expansion order — without executing anything. `PROFILE`
+//! prints the same per-operator plan text.
 
+use crate::ast::MatchClause;
+use crate::compile::{compile, CompiledOp};
 use crate::error::CypherError;
-use crate::exec::build_clause_op;
 use crate::parser::parse_statement;
+use crate::plan::{self, Anchor};
+use crate::pretty;
 use iyp_graphdb::Graph;
+use std::fmt::Write;
 
 /// Parses `src` and renders its execution plan against `graph`. A
 /// leading `EXPLAIN` (or `PROFILE`) keyword is accepted and ignored —
@@ -16,11 +20,130 @@ pub fn explain(graph: &Graph, src: &str) -> Result<String, CypherError> {
     let (_mode, q) = parse_statement(src)?;
     let mut out = String::new();
     let mut bound: Vec<String> = Vec::new();
-    for (i, clause) in q.clauses.iter().enumerate() {
-        let op = build_clause_op(clause, i + 1 == q.clauses.len());
-        op.explain_into(graph, &mut bound, i, &mut out);
+    let mut idx = 0;
+    for (i, ops) in compile(&q).segments.iter().enumerate() {
+        if i > 0 {
+            writeln!(out, "{idx:>2}. UNION").expect("write to string");
+            idx += 1;
+        }
+        for op in ops {
+            op.explain_into(graph, &mut bound, idx, &mut out);
+            idx += 1;
+        }
     }
     Ok(out)
+}
+
+impl CompiledOp {
+    /// Renders this operator's plan lines, numbered `idx`. `bound`
+    /// accumulates the variables match operators bind, so later operators
+    /// can show bound-variable anchors.
+    pub(crate) fn explain_into(
+        &self,
+        graph: &Graph,
+        bound: &mut Vec<String>,
+        idx: usize,
+        out: &mut String,
+    ) {
+        // Other clauses print their leading keyword (`DETACH` for
+        // `DETACH DELETE`).
+        let keyword = match self {
+            CompiledOp::Match(m) => {
+                return explain_match(graph, &m.clause, self.name(), bound, idx, out)
+            }
+            CompiledOp::Unwind(_) => "UNWIND",
+            CompiledOp::Project(_) => "WITH",
+            CompiledOp::Return(_) => "RETURN",
+            CompiledOp::Create(_) => "CREATE",
+            CompiledOp::Merge(_) => "MERGE",
+            CompiledOp::Set(_) => "SET",
+            CompiledOp::Delete(d) if d.detach => "DETACH",
+            CompiledOp::Delete(_) => "DELETE",
+        };
+        writeln!(out, "{idx:>2}. {keyword}").expect("write to string");
+    }
+}
+
+fn explain_match(
+    graph: &Graph,
+    m: &MatchClause,
+    name: &str,
+    bound: &mut Vec<String>,
+    idx: usize,
+    out: &mut String,
+) {
+    writeln!(out, "{idx:>2}. {name}").expect("write to string");
+    let plans = plan::plan_match(graph, m, bound);
+    for (j, plan) in plans.iter().enumerate() {
+        let anchor = match &plan.anchor {
+            Anchor::Bound(v) => format!("BoundVariable({v})"),
+            Anchor::IndexSeek { label, key, expr } => format!(
+                "IndexSeek(:{label}.{key} = {})",
+                pretty::expr_to_string(expr)
+            ),
+            Anchor::RangeSeek { label, key, lo, hi } => {
+                let mut bounds: Vec<String> = Vec::new();
+                if let Some((e, inc)) = lo {
+                    bounds.push(format!(
+                        "{} {}",
+                        if *inc { ">=" } else { ">" },
+                        pretty::expr_to_string(e)
+                    ));
+                }
+                if let Some((e, inc)) = hi {
+                    bounds.push(format!(
+                        "{} {}",
+                        if *inc { "<=" } else { "<" },
+                        pretty::expr_to_string(e)
+                    ));
+                }
+                format!("RangeSeek(:{label}.{key} {})", bounds.join(" and "))
+            }
+            Anchor::LabelScan(label) => {
+                format!("LabelScan(:{label}, ~{} nodes)", graph.label_count(label))
+            }
+            Anchor::AllNodes => {
+                format!("AllNodesScan(~{} nodes)", graph.node_count())
+            }
+        };
+        let mut line = format!("      part {j}: {anchor}");
+        if plan.reversed {
+            line.push_str(" [chain reversed]");
+        }
+        if plan.shortest {
+            line.push_str(" [shortestPath]");
+        }
+        writeln!(out, "{line}").expect("write to string");
+        for (k, (rel, node)) in plan.steps.iter().enumerate() {
+            let types = if rel.types.is_empty() {
+                "*any*".to_string()
+            } else {
+                rel.types.join("|")
+            };
+            let hops = if rel.hops.is_single() {
+                String::new()
+            } else {
+                format!(
+                    " x{}..{}",
+                    rel.hops.min,
+                    rel.hops
+                        .max
+                        .map(|m| m.to_string())
+                        .unwrap_or_else(|| "∞".into())
+                )
+            };
+            let target = node
+                .labels
+                .first()
+                .map(|l| format!(":{l}"))
+                .unwrap_or_else(|| "(any)".into());
+            writeln!(out, "        expand {k}: -[:{types}{hops}]- -> {target}")
+                .expect("write to string");
+        }
+    }
+    if m.where_clause.is_some() {
+        writeln!(out, "      filter: WHERE …").expect("write to string");
+    }
 }
 
 #[cfg(test)]

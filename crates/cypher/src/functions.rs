@@ -221,9 +221,13 @@ pub fn call_function(graph: &Graph, name: &str, args: &[Entry]) -> Result<Value,
             let mut x = lo;
             while (step > 0 && x <= hi) || (step < 0 && x >= hi) {
                 out.push(Value::Int(x));
-                x += step;
                 if out.len() > 1_000_000 {
                     return Err(CypherError::runtime("range() too large"));
+                }
+                // Stepping past the i64 bound ends the range.
+                match x.checked_add(step) {
+                    Some(next) => x = next,
+                    None => break,
                 }
             }
             Ok(Value::List(out))
@@ -531,6 +535,23 @@ mod tests {
         assert_eq!(
             call_function(&g, "range", &[v(10i64), v(4i64), v(-3i64)]).unwrap(),
             Value::from(vec![10i64, 7, 4])
+        );
+    }
+
+    #[test]
+    fn range_stops_at_the_i64_bounds() {
+        let g = g();
+        assert_eq!(
+            call_function(&g, "range", &[v(i64::MAX - 1), v(i64::MAX)]).unwrap(),
+            Value::from(vec![i64::MAX - 1, i64::MAX])
+        );
+        assert_eq!(
+            call_function(&g, "range", &[v(i64::MIN + 1), v(i64::MIN), v(-1i64)]).unwrap(),
+            Value::from(vec![i64::MIN + 1, i64::MIN])
+        );
+        assert_eq!(
+            call_function(&g, "range", &[v(i64::MAX - 5), v(i64::MAX), v(4i64)]).unwrap(),
+            Value::from(vec![i64::MAX - 5, i64::MAX - 1])
         );
     }
 

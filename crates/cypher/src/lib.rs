@@ -3,8 +3,9 @@
 //! A Cypher query engine for [`iyp_graphdb`] — the openCypher substitute in
 //! the ChatIYP reproduction.
 //!
-//! Pipeline: [`lexer`] → [`parser`] (AST in [`ast`]) → [`plan`] (anchor
-//! selection & chain ordering) → [`exec`] (row interpreter). Supported
+//! Pipeline: [`lexer`] → [`parser`] (AST in [`ast`]) → [`compile`]
+//! (slot-resolved operators) → [`exec`] (the one executor, which plans
+//! anchors and chain order with [`plan`] as each `MATCH` runs). Supported
 //! subset: `MATCH` / `OPTIONAL MATCH` with multi-hop and variable-length
 //! patterns, `WHERE`, `WITH` chaining, aggregation (`count`, `sum`, `avg`,
 //! `min`, `max`, `collect`, `stdev`, `percentileCont`), `ORDER BY`,
@@ -48,7 +49,7 @@ pub mod token;
 
 pub use cache::{normalize_query, PlanCache, PlanCacheStats, Prepared};
 pub use compile::{
-    compile_expr, compile_query, compile_time_ns, CEvalCtx, CompiledExpr, CompiledQuery,
+    compile_expr, compile_query, compile_time_ns, CompiledExpr, CompiledQuery, Evaluator,
 };
 pub use error::{CypherError, Stage};
 pub use eval::{Entry, Env, Params, Row};

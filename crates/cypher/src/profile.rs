@@ -13,9 +13,10 @@
 //! them (rows and db hits are reproducible on a fixed dataset, so golden
 //! tests pin that form).
 
+use crate::compile::CompiledOp;
 use crate::error::CypherError;
 use crate::eval::Params;
-use crate::exec::{self, ExecLimits, Operator};
+use crate::exec::{self, ExecLimits};
 use crate::parser::{parse_statement, QueryMode};
 use crate::result::QueryResult;
 use iyp_graphdb::Graph;
@@ -127,7 +128,7 @@ impl ProfileCollector {
     /// via `explain_into`, which also advances the bound-variable state.
     pub(crate) fn record(
         &mut self,
-        op: &dyn Operator,
+        op: &CompiledOp,
         graph: &Graph,
         rows: u64,
         db_hits: u64,

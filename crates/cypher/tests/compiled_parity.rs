@@ -1,12 +1,11 @@
-//! Differential tests for the compiled pipeline: the full parity corpus
-//! must produce byte-identical results (a) compiled vs interpreted and
-//! (b) at any morsel-parallel worker count vs sequential, and PROFILE's
-//! per-query db-hit totals must not change with the worker count.
+//! Differential tests for morsel-parallel execution: the full parity
+//! corpus must produce byte-identical results at any worker count vs
+//! sequential, and PROFILE's per-query db-hit totals must not change with
+//! the worker count. (The corpus results themselves are pinned by the
+//! goldens in `parity_corpus.rs`.)
 
 use iyp_cypher::corpus::PARITY_QUERIES as QUERIES;
-use iyp_cypher::{
-    compile_query, execute_read_with_limits, parse, profile_with_limits, ExecLimits, Params,
-};
+use iyp_cypher::{execute_read_with_limits, parse, profile_with_limits, ExecLimits, Params};
 use iyp_data::{generate, IypConfig};
 use iyp_graphdb::Graph;
 
@@ -21,18 +20,6 @@ fn run_json(g: &Graph, src: &str, limits: ExecLimits) -> String {
     serde_json::to_string(&r).expect("serialize result")
 }
 
-/// The compiled pipeline is an optimization, never a semantics change:
-/// every corpus query returns byte-identical JSON either way.
-#[test]
-fn corpus_compiled_matches_interpreted() {
-    let g = dataset_graph();
-    for q in QUERIES {
-        let compiled = run_json(&g, q, ExecLimits::none().with_compiled(true));
-        let interpreted = run_json(&g, q, ExecLimits::none().with_compiled(false));
-        assert_eq!(compiled, interpreted, "compiled diverged on: {q}");
-    }
-}
-
 /// Morsel-parallel MATCH merges results in morsel order, so any worker
 /// count reproduces the sequential row order exactly.
 #[test]
@@ -45,24 +32,6 @@ fn corpus_parallel_matches_sequential() {
             assert_eq!(par, seq, "parallelism {workers} diverged on: {q}");
         }
     }
-}
-
-/// The corpus is the compiler's coverage gauge: every read query in it
-/// must lower to compiled form, or the parity tests above silently stop
-/// exercising the compiled path.
-#[test]
-fn corpus_fully_compilable() {
-    let uncompiled: Vec<&str> = QUERIES
-        .iter()
-        .filter(|q| compile_query(&parse(q).unwrap()).is_none())
-        .copied()
-        .collect();
-    assert!(
-        uncompiled.is_empty(),
-        "{} corpus queries fell back to the interpreter:\n{}",
-        uncompiled.len(),
-        uncompiled.join("\n")
-    );
 }
 
 /// PROFILE's db-hit accounting is exact under parallelism: worker-thread

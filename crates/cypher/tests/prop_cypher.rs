@@ -5,6 +5,10 @@ use iyp_cypher::ast::{BinOp, Expr, UnOp};
 use iyp_cypher::{parse_expression, pretty, query, ExecLimits, Params};
 use iyp_graphdb::{Graph, Props, Value};
 use proptest::prelude::*;
+use proptest::TestRng;
+use std::collections::HashMap;
+use std::path::PathBuf;
+use std::sync::OnceLock;
 
 // ----------------------------------------------------------------------
 // Expression round-trip: render(parse(render(e))) == render(e)
@@ -68,23 +72,31 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// Differential: compiled expression evaluation vs the interpreter
+// Differential: expression evaluation vs recorded goldens
 // ----------------------------------------------------------------------
+//
+// The two proptests below compare the executor against goldens recorded
+// from the AST interpreter that preceded the single compiled executor
+// (`goldens/prop_expressions.json`). Their inputs are fixed: the in-tree
+// proptest shim seeds each case from the test name and the case index,
+// so the ignored `regenerate_expression_goldens` test replays exactly the
+// cases the proptests draw. Renaming either proptest changes its inputs.
+//
+// To re-record after an intentional semantic change:
+// `cargo test -p iyp-cypher --test prop_cypher -- --ignored regenerate_expression_goldens`
 
-/// Runs `src` through the engine with the compiled pipeline on or off,
-/// normalizing both results and errors to strings so error parity is
-/// checked too (the compiler must reproduce evaluation errors, not just
-/// values).
-fn run_either(g: &Graph, src: &str, compiled: bool) -> Result<String, String> {
+const CASES: u32 = 256;
+const CLOSED: &str = "compiled_expression_matches_interpreted";
+const PER_ROW: &str = "compiled_expression_matches_interpreted_per_row";
+
+/// Runs `src` through the engine, normalizing both results and errors to
+/// strings so error parity is checked too (evaluation errors are part of
+/// the contract, not just values).
+fn run_with(g: &Graph, src: &str, limits: ExecLimits) -> Result<String, String> {
     let q = iyp_cypher::parse(src).map_err(|e| format!("parse: {e}"))?;
-    iyp_cypher::execute_read_with_limits(
-        g,
-        &q,
-        &Params::new(),
-        ExecLimits::none().with_compiled(compiled),
-    )
-    .map(|r| serde_json::to_string(&r).expect("serialize"))
-    .map_err(|e| e.to_string())
+    iyp_cypher::execute_read_with_limits(g, &q, &Params::new(), limits)
+        .map(|r| serde_json::to_string(&r).expect("serialize"))
+        .map_err(|e| e.to_string())
 }
 
 /// Rewrites every variable reference to `x` so generated expressions can
@@ -117,17 +129,79 @@ fn bind_vars_to_x(e: &Expr) -> Expr {
     }
 }
 
+/// The query a closed-expression case runs.
+fn closed_query(e: &Expr) -> String {
+    format!("RETURN {} AS v", pretty::expr_to_string(e))
+}
+
+/// The query a per-row case runs: `e` over an `UNWIND`-bound `x`.
+fn per_row_query(e: &Expr, vals: &[i64]) -> String {
+    let list = vals
+        .iter()
+        .map(|v| v.to_string())
+        .collect::<Vec<_>>()
+        .join(", ");
+    let rendered = pretty::expr_to_string(&bind_vars_to_x(e));
+    format!("UNWIND [{list}] AS x RETURN {rendered} AS v")
+}
+
+fn vals_strategy() -> impl Strategy<Value = Vec<i64>> {
+    proptest::collection::vec(-5i64..5, 1..4)
+}
+
+fn goldens_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("goldens")
+        .join("prop_expressions.json")
+}
+
+/// A recorded outcome: the serialized result or the error message.
+type Outcome = Result<String, String>;
+
+/// The recorded outcome of `src` in the golden set of proptest `test`.
+fn golden(test: &str, src: &str) -> Outcome {
+    static GOLDENS: OnceLock<HashMap<String, HashMap<String, Outcome>>> = OnceLock::new();
+    let goldens = GOLDENS.get_or_init(|| {
+        let text = std::fs::read_to_string(goldens_path())
+            .expect("goldens missing; run the ignored regenerate_expression_goldens test");
+        let recorded: serde_json::Value = serde_json::from_str(&text).expect("parse goldens");
+        [CLOSED, PER_ROW]
+            .into_iter()
+            .map(|name| {
+                let entries = recorded[name].as_array().expect("golden case list");
+                assert_eq!(entries.len(), CASES as usize, "{name}: case count changed");
+                let cases = entries
+                    .iter()
+                    .map(|e| {
+                        let query = e["query"].as_str().expect("golden query").to_string();
+                        let outcome = match e["error"].as_str() {
+                            Some(err) => Err(err.to_string()),
+                            None => Ok(e["result"].as_str().expect("golden result").to_string()),
+                        };
+                        (query, outcome)
+                    })
+                    .collect();
+                (name.to_string(), cases)
+            })
+            .collect()
+    });
+    goldens[test]
+        .get(src)
+        .unwrap_or_else(|| panic!("{test}: no golden for {src:?}; re-record the goldens"))
+        .clone()
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// Random (mostly closed) expressions: identical value or identical
-    /// error, compiled vs interpreted. Unbound variables stay unbound so
-    /// the `Unbound` error path is part of the contract.
+    /// error to the recorded golden. Unbound variables stay unbound so
+    /// the unbound-variable error path is part of the contract.
     #[test]
     fn compiled_expression_matches_interpreted(e in expr_strategy()) {
-        let g = Graph::new();
-        let src = format!("RETURN {} AS v", pretty::expr_to_string(&e));
-        prop_assert_eq!(run_either(&g, &src, true), run_either(&g, &src, false));
+        let src = closed_query(&e);
+        prop_assert_eq!(run_with(&Graph::new(), &src, ExecLimits::none()), golden(CLOSED, &src));
     }
 
     /// Random expressions over a bound row: every variable resolves to a
@@ -136,30 +210,44 @@ proptest! {
     #[test]
     fn compiled_expression_matches_interpreted_per_row(
         e in expr_strategy(),
-        vals in proptest::collection::vec(-5i64..5, 1..4),
+        vals in vals_strategy(),
     ) {
         let g = Graph::new();
-        let list = vals
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        let rendered = pretty::expr_to_string(&bind_vars_to_x(&e));
-        let src = format!("UNWIND [{list}] AS x RETURN {rendered} AS v");
-        let interpreted = run_either(&g, &src, false);
-        prop_assert_eq!(run_either(&g, &src, true), interpreted.clone());
+        let src = per_row_query(&e, &vals);
+        let want = golden(PER_ROW, &src);
+        prop_assert_eq!(run_with(&g, &src, ExecLimits::none()), want.clone());
         // Parallelism must not change results or errors either.
-        let q = iyp_cypher::parse(&src).unwrap();
-        let par = iyp_cypher::execute_read_with_limits(
-            &g,
-            &q,
-            &Params::new(),
-            ExecLimits::none().with_parallelism(4),
-        )
-        .map(|r| serde_json::to_string(&r).expect("serialize"))
-        .map_err(|e| e.to_string());
-        prop_assert_eq!(par, interpreted);
+        prop_assert_eq!(run_with(&g, &src, ExecLimits::none().with_parallelism(4)), want);
     }
+}
+
+/// Records the executor's outcome for every case the two differential
+/// proptests draw, replaying the shim's per-case seeding.
+#[test]
+#[ignore = "writes the golden file; run explicitly to re-record"]
+fn regenerate_expression_goldens() {
+    let g = Graph::new();
+    let mut out = Vec::new();
+    for name in [CLOSED, PER_ROW] {
+        let cases: Vec<serde_json::Value> = (0..CASES)
+            .map(|case| {
+                let mut rng = TestRng::from_name_and_case(name, u64::from(case));
+                let e = expr_strategy().generate(&mut rng);
+                let src = if name == CLOSED {
+                    closed_query(&e)
+                } else {
+                    per_row_query(&e, &vals_strategy().generate(&mut rng))
+                };
+                match run_with(&g, &src, ExecLimits::none()) {
+                    Ok(result) => serde_json::json!({"query": src, "result": result}),
+                    Err(error) => serde_json::json!({"query": src, "error": error}),
+                }
+            })
+            .collect();
+        out.push((name.to_string(), serde_json::Value::Seq(cases)));
+    }
+    let text = serde_json::to_string_pretty(&serde_json::Value::Map(out)).unwrap() + "\n";
+    std::fs::write(goldens_path(), text).unwrap();
 }
 
 // ----------------------------------------------------------------------

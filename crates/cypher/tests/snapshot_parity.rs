@@ -1,8 +1,8 @@
 //! Differential tests for the snapshot read path: executing the parity
 //! corpus through a [`GraphStore`] snapshot handle must be byte-identical
-//! to executing directly against the owned `Graph` — interpreted and
-//! compiled, at every supported worker count — and a handle acquired
-//! before a publish must keep answering from its own version afterwards.
+//! to executing directly against the owned `Graph` at every supported
+//! worker count, and a handle acquired before a publish must keep
+//! answering from its own version afterwards.
 
 use iyp_cypher::corpus::PARITY_QUERIES as QUERIES;
 use iyp_cypher::{execute_read_with_limits, parse, ExecLimits, Params};
@@ -18,8 +18,6 @@ fn run_json(g: &Graph, src: &str, limits: ExecLimits) -> String {
 
 fn modes() -> Vec<(&'static str, ExecLimits)> {
     vec![
-        ("interpreted", ExecLimits::none().with_compiled(false)),
-        ("compiled", ExecLimits::none().with_compiled(true)),
         ("parallel=1", ExecLimits::none().with_parallelism(1)),
         ("parallel=2", ExecLimits::none().with_parallelism(2)),
         ("parallel=4", ExecLimits::none().with_parallelism(4)),

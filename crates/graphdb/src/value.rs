@@ -267,13 +267,7 @@ impl Value {
     pub fn div(&self, other: &Value) -> Result<Value, ValueError> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-            (Value::Int(a), Value::Int(b)) => {
-                if *b == 0 {
-                    Err(ValueError::DivisionByZero)
-                } else {
-                    Ok(Value::Int(a / b))
-                }
-            }
+            (Value::Int(a), Value::Int(b)) => checked_int(*a, *b, "/", i64::checked_div),
             (a, b) if a.is_numeric() && b.is_numeric() => {
                 let denom = b.as_f64().unwrap();
                 if denom == 0.0 {
@@ -290,13 +284,7 @@ impl Value {
     pub fn rem(&self, other: &Value) -> Result<Value, ValueError> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-            (Value::Int(a), Value::Int(b)) => {
-                if *b == 0 {
-                    Err(ValueError::DivisionByZero)
-                } else {
-                    Ok(Value::Int(a % b))
-                }
-            }
+            (Value::Int(a), Value::Int(b)) => checked_int(*a, *b, "%", i64::checked_rem),
             (a, b) if a.is_numeric() && b.is_numeric() => {
                 Ok(Value::Float(a.as_f64().unwrap() % b.as_f64().unwrap()))
             }
@@ -336,6 +324,22 @@ impl Value {
     }
 }
 
+/// Integer `/` or `%`: division by zero and the one overflowing case
+/// (`i64::MIN` by `-1`) are errors, never panics.
+fn checked_int(
+    a: i64,
+    b: i64,
+    op: &str,
+    f: fn(i64, i64) -> Option<i64>,
+) -> Result<Value, ValueError> {
+    if b == 0 {
+        return Err(ValueError::DivisionByZero);
+    }
+    f(a, b)
+        .map(Value::Int)
+        .ok_or_else(|| ValueError::Overflow { op: op.to_string() })
+}
+
 /// Errors raised by value-level operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ValueError {
@@ -348,6 +352,11 @@ pub enum ValueError {
     },
     /// Division or modulo by zero.
     DivisionByZero,
+    /// The integer result does not fit in an `i64`.
+    Overflow {
+        /// Operator symbol.
+        op: String,
+    },
 }
 
 impl ValueError {
@@ -366,6 +375,7 @@ impl fmt::Display for ValueError {
                 write!(f, "type mismatch for operator '{op}': {detail}")
             }
             ValueError::DivisionByZero => write!(f, "division by zero"),
+            ValueError::Overflow { op } => write!(f, "integer overflow for operator '{op}'"),
         }
     }
 }
@@ -565,6 +575,21 @@ mod tests {
         assert_eq!(
             Value::Int(1).rem(&Value::Int(0)),
             Err(ValueError::DivisionByZero)
+        );
+    }
+
+    #[test]
+    fn min_int_by_minus_one_overflows_instead_of_panicking() {
+        let overflow = |op: &str| Err(ValueError::Overflow { op: op.to_string() });
+        assert_eq!(Value::Int(i64::MIN).div(&Value::Int(-1)), overflow("/"));
+        assert_eq!(Value::Int(i64::MIN).rem(&Value::Int(-1)), overflow("%"));
+        assert_eq!(
+            Value::Int(i64::MIN).div(&Value::Int(1)).unwrap(),
+            Value::Int(i64::MIN)
+        );
+        assert_eq!(
+            Value::Int(i64::MIN + 1).div(&Value::Int(-1)).unwrap(),
+            Value::Int(i64::MAX)
         );
     }
 

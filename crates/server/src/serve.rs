@@ -352,6 +352,35 @@ mod tests {
         server.shutdown();
     }
 
+    /// `i64::MIN / -1` (and `%`) used to panic the worker that ran it:
+    /// `workers + 1` such queries left no worker to answer the next one.
+    #[test]
+    fn integer_overflow_queries_do_not_kill_workers() {
+        let server = start_test_server();
+        let post = |query: &str| {
+            let body = format!(r#"{{"query":"{query}"}}"#);
+            let raw = format!(
+                "POST /cypher HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            let mut s = TcpStream::connect(server.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            s.write_all(raw.as_bytes()).unwrap();
+            let mut out = String::new();
+            let _ = s.read_to_string(&mut out);
+            out
+        };
+        // The test server runs two workers: three requests outlast them.
+        for op in ["/", "%", "/"] {
+            let reply = post(&format!("RETURN (-9223372036854775807 - 1) {op} -1 AS q"));
+            assert!(reply.starts_with("HTTP/1.1 400"), "reply: {reply}");
+            assert!(reply.contains("integer overflow"), "reply: {reply}");
+        }
+        let reply = post("RETURN 1 AS one");
+        assert!(reply.starts_with("HTTP/1.1 200"), "reply: {reply}");
+        server.shutdown();
+    }
+
     #[test]
     fn malformed_request_gets_400_not_hang() {
         let server = start_test_server();
