@@ -1,9 +1,9 @@
 //! Vector retrieval performance: embedding a query and searching the
-//! node-description corpus (flat and bucketed indexes).
+//! node-description corpus with the exact flat index.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use iyp_data::{describe_all, generate, IypConfig};
-use iyp_embed::{BucketIndex, DocStore, Embedder, FlatIndex, DEFAULT_DIM};
+use iyp_embed::{DocStore, Embedder, FlatIndex};
 use std::hint::black_box;
 
 fn bench_vector(c: &mut Criterion) {
@@ -13,12 +13,10 @@ fn bench_vector(c: &mut Criterion) {
 
     let mut store = DocStore::new();
     let mut flat = FlatIndex::new();
-    let mut bucket = BucketIndex::new(DEFAULT_DIM);
     for doc in &docs {
         store.add(doc.title.clone(), doc.text.clone(), doc.node.0);
         let v = embedder.embed(&format!("{} {}", doc.title, doc.text));
-        flat.add(v.clone());
-        bucket.add(v);
+        flat.add(v);
     }
     let query = "Which Japanese networks serve the largest population share?";
     let qv = embedder.embed(query);
@@ -30,9 +28,6 @@ fn bench_vector(c: &mut Criterion) {
     });
     group.bench_function("flat_top8", |b| {
         b.iter(|| black_box(flat.search(black_box(&qv), 8)))
-    });
-    group.bench_function("bucket_top8_probe16", |b| {
-        b.iter(|| black_box(bucket.search(black_box(&qv), 8, 16)))
     });
     group.bench_function("docstore_end_to_end", |b| {
         b.iter(|| black_box(store.search(black_box(query), 8)))

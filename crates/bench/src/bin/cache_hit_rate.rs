@@ -6,6 +6,7 @@
 //! cargo run --release -p chatiyp-bench --bin cache_hit_rate [-- WARM_PASSES]
 //! ```
 
+use chatiyp_bench::count_arg;
 use chatiyp_core::cache::{CacheConfig, QueryCache};
 use iyp_cypher::corpus::PARITY_QUERIES;
 use iyp_cypher::Params;
@@ -35,10 +36,7 @@ fn uncached_pass(graph: &Graph) -> f64 {
 }
 
 fn main() {
-    let warm_passes: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(20);
+    let warm_passes = count_arg(20);
 
     let snap = GraphSnapshot::new(generate(&IypConfig::default()).graph, 1);
     let cache = QueryCache::new(CacheConfig::default());
@@ -78,8 +76,8 @@ fn main() {
         stats.plan.hits, stats.plan.misses, stats.plan.len
     );
     println!(
-        "evictions: {}  invalidations: {}  expirations: {}",
-        stats.evictions, stats.invalidations, stats.expirations
+        "evictions: {}  invalidations: {}",
+        stats.evictions, stats.invalidations
     );
 
     assert_eq!(stats.misses as usize, PARITY_QUERIES.len());

@@ -13,7 +13,10 @@
 //!   a fixed batch size the paged cost stays within 2× across the
 //!   1× → 16× scale sweep;
 //! * ingest is **allocation-quiet for readers** — read p99 under ingest
-//!   stays within 2× of idle p99.
+//!   stays within 2× of idle p99;
+//! * the publish is a **pointer swap, not a copy under the lock** — the
+//!   median swap stays under 10ms at every scale while a reader thread
+//!   hammers the store, and in every uncontended timing cell.
 //!
 //! Between timed ingests the store is reset to the scaled base graph
 //! (itself a cheap COW publish) so every sample runs against the same
@@ -28,6 +31,7 @@
 //!
 //! Results are written to `BENCH_cow.json` at the repository root.
 
+use chatiyp_bench::{count_arg, percentile, write_report};
 use iyp_cypher::query;
 use iyp_data::{generate, growth_batch, IypConfig};
 use iyp_graphdb::{DeltaBatch, Graph, GraphStore};
@@ -45,12 +49,6 @@ const READ_QUERIES: [&str; 3] = [
 
 const SCALES: [usize; 3] = [1, 4, 16];
 const BATCH_SIZES: [usize; 3] = [1, 10, 100];
-
-fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let idx = ((samples.len() - 1) as f64 * p).round() as usize;
-    samples[idx]
-}
 
 /// One timed read through a freshly acquired snapshot; seconds.
 fn timed_read(store: &GraphStore, q: &str) -> f64 {
@@ -159,6 +157,8 @@ struct ReadArm {
     idle_p99_us: f64,
     ingest_p50_us: f64,
     ingest_p99_us: f64,
+    /// Median pointer swap of the ingests timed beside the live reader.
+    swap_us_median: f64,
     publishes: u64,
 }
 
@@ -188,10 +188,12 @@ fn read_arm(base: &Graph, idle_samples: usize, window: Duration) -> ReadArm {
     let batches = pregen(base, 10, 32);
     let t0 = Instant::now();
     let mut publishes = 0u64;
+    let mut swaps = Vec::new();
     while t0.elapsed() < window {
-        store
+        let report = store
             .ingest(&batches[publishes as usize % batches.len()])
             .expect("applies");
+        swaps.push(report.swap.as_secs_f64());
         store.publish(base.clone());
         publishes += 2;
         // Pace the stream: deltas arrive at a rate, they don't spin.
@@ -205,15 +207,13 @@ fn read_arm(base: &Graph, idle_samples: usize, window: Duration) -> ReadArm {
         idle_p99_us: percentile(&mut idle, 0.99) * 1e6,
         ingest_p50_us: percentile(&mut contended, 0.50) * 1e6,
         ingest_p99_us: percentile(&mut contended, 0.99) * 1e6,
+        swap_us_median: percentile(&mut swaps, 0.50) * 1e6,
         publishes,
     }
 }
 
 fn main() {
-    let rounds: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(12);
+    let rounds = count_arg(12);
 
     let base = generate(&IypConfig::default()).graph;
     let base_nodes = base.node_count();
@@ -234,12 +234,14 @@ fn main() {
 
         let reads = read_arm(&g, (rounds * 30).max(200), Duration::from_millis(400));
         println!(
-            "  reads idle p50 {:.1}us p99 {:.1}us | under ingest p50 {:.1}us p99 {:.1}us ({} publishes)",
+            "  reads idle p50 {:.1}us p99 {:.1}us | under ingest p50 {:.1}us p99 {:.1}us \
+             ({} publishes, swap median {:.1}us)",
             reads.idle_p50_us,
             reads.idle_p99_us,
             reads.ingest_p50_us,
             reads.ingest_p99_us,
-            reads.publishes
+            reads.publishes,
+            reads.swap_us_median
         );
 
         let mut arm_jsons = Vec::new();
@@ -277,6 +279,7 @@ fn main() {
             "ingest_read_p50_us": reads.ingest_p50_us,
             "ingest_read_p99_us": reads.ingest_p99_us,
             "ingest_publishes": reads.publishes,
+            "contended_swap_us_median": reads.swap_us_median,
             "read_p99_ratio": reads.ingest_p99_us / reads.idle_p99_us.max(1e-9),
             "arms": arm_jsons,
         }));
@@ -288,13 +291,30 @@ fn main() {
         "base_nodes": base_nodes as u64,
         "scales": scale_reports,
     });
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cow.json");
-    std::fs::write(
-        out,
-        serde_json::to_string_pretty(&report).expect("report serializes") + "\n",
-    )
-    .expect("BENCH_cow.json writes");
-    println!("wrote {out}");
+    write_report("BENCH_cow.json", &report);
+
+    // Gate 4, checked first so the timing-sensitive gates cannot hide
+    // it: the publish readers contend with is a pointer exchange —
+    // median swap under 10ms at every scale beside the live reader, and
+    // in every uncontended timing cell.
+    for sr in &scale_reports {
+        let swap_us = sr["contended_swap_us_median"].as_f64().expect("swap");
+        assert!(
+            swap_us < 10_000.0,
+            "scale {}x under a live reader: median swap {swap_us:.1}us — the swap \
+             should be a pointer exchange, not a copy under the lock",
+            sr["scale"]
+        );
+    }
+    for (scale, cell) in &cells {
+        assert!(
+            cell.swap_us_median < 10_000.0,
+            "scale {scale}x, batch {}: median swap {:.1}us — the swap should \
+             be a pointer exchange, not a copy under the lock",
+            cell.batch_size,
+            cell.swap_us_median
+        );
+    }
 
     // Gate 1: O(delta) beats O(graph) — at the 1× scale, batch=1, the
     // paged clone+apply must be ≥5× faster than the deep-clone path.

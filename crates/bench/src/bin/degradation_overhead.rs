@@ -15,55 +15,22 @@
 //! cargo run --release -p chatiyp-bench --bin degradation_overhead [-- PASSES]
 //! ```
 
+use chatiyp_bench::{
+    ask_pass, count_arg, percentile, tiny_lookup_questions, tiny_oracle_pipeline, write_report,
+};
 use chatiyp_core::{ChatIyp, ChatIypConfig, ResilienceConfig};
-use iyp_data::{generate, IypConfig};
-use iyp_llm::LmConfig;
-use std::time::Instant;
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    samples[samples.len() / 2]
-}
 
 fn pipeline(resilience: ResilienceConfig) -> ChatIyp {
-    let config = ChatIypConfig {
-        lm: LmConfig {
-            seed: 42,
-            skill: 1.0,
-            variety: 0.0,
-        },
+    tiny_oracle_pipeline(ChatIypConfig {
         resilience,
         ..Default::default()
-    };
-    ChatIyp::new(generate(&IypConfig::tiny()), config)
-}
-
-/// One timed pass of the question batch through a pipeline; seconds.
-fn ask_pass(chat: &ChatIyp, questions: &[String]) -> f64 {
-    let t0 = Instant::now();
-    for q in questions {
-        chat.ask(q);
-    }
-    t0.elapsed().as_secs_f64()
+    })
 }
 
 fn main() {
-    let passes: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(30);
+    let passes = count_arg(30);
 
-    let dataset = generate(&IypConfig::tiny());
-    let questions: Vec<String> = dataset
-        .ases
-        .iter()
-        .flat_map(|a| {
-            [
-                format!("What is the name of AS{}?", a.asn),
-                format!("In which country is AS{} registered?", a.asn),
-            ]
-        })
-        .collect();
+    let questions = tiny_lookup_questions();
 
     let disabled = pipeline(ResilienceConfig::disabled());
     let enabled = pipeline(ResilienceConfig::default());
@@ -84,8 +51,8 @@ fn main() {
         t_disabled.push(ask_pass(&disabled, &questions));
         t_enabled.push(ask_pass(&enabled, &questions));
     }
-    let m_disabled = median(&mut t_disabled);
-    let m_enabled = median(&mut t_enabled);
+    let m_disabled = percentile(&mut t_disabled, 0.5);
+    let m_enabled = percentile(&mut t_enabled, 0.5);
     let overhead = (m_enabled - m_disabled) / m_disabled * 100.0;
 
     println!("questions per pass:      {}", questions.len());
@@ -110,13 +77,7 @@ fn main() {
         "enabled_ms": m_enabled * 1e3,
         "overhead_pct": overhead,
     });
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_resilience.json");
-    std::fs::write(
-        out,
-        serde_json::to_string_pretty(&report).expect("report serializes") + "\n",
-    )
-    .expect("BENCH_resilience.json writes");
-    println!("wrote {out}");
+    write_report("BENCH_resilience.json", &report);
 
     // Generous gate: the target is <2%, but CI containers are noisy.
     assert!(

@@ -19,6 +19,7 @@
 //! cargo run --release -p chatiyp-bench --bin exec_hotpath [-- PASSES]
 //! ```
 
+use chatiyp_bench::{count_arg, percentile, write_report};
 use iyp_cypher::ast::Query;
 use iyp_cypher::corpus::PARITY_QUERIES;
 use iyp_cypher::{
@@ -27,11 +28,6 @@ use iyp_cypher::{
 use iyp_data::{generate, IypConfig};
 use iyp_graphdb::Graph;
 use std::time::Instant;
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    samples[samples.len() / 2]
-}
 
 /// One timed pass of the prepared corpus under the given limits; seconds.
 fn pass(graph: &Graph, prepared: &[(Query, CompiledQuery)], limits: ExecLimits) -> f64 {
@@ -45,10 +41,7 @@ fn pass(graph: &Graph, prepared: &[(Query, CompiledQuery)], limits: ExecLimits) 
 }
 
 fn main() {
-    let passes: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(30);
+    let passes = count_arg(30);
 
     let graph = generate(&IypConfig::default()).graph;
 
@@ -87,8 +80,8 @@ fn main() {
         t_compiled.push(pass(&graph, &prepared, compiled));
         t_parallel.push(pass(&graph, &prepared, parallel));
     }
-    let m_compiled = median(&mut t_compiled);
-    let m_parallel = median(&mut t_parallel);
+    let m_compiled = percentile(&mut t_compiled, 0.5);
+    let m_parallel = percentile(&mut t_parallel, 0.5);
     let parallel_speedup = m_compiled / m_parallel;
 
     println!("corpus queries:        {}", prepared.len());
@@ -118,13 +111,7 @@ fn main() {
         // readers of this file must not treat ~1.0x as a regression.
         "parallel_speedup_meaningful": workers > 1,
     });
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_exec.json");
-    std::fs::write(
-        out,
-        serde_json::to_string_pretty(&report).expect("report serializes") + "\n",
-    )
-    .expect("BENCH_exec.json writes");
-    println!("wrote {out}");
+    write_report("BENCH_exec.json", &report);
 
     // The parallel gate only means something with real cores to fan out
     // to; on a 1-core container it is skipped, not silently "passed" at

@@ -5,7 +5,8 @@
 //! Writes to `./artifacts/` (or the directory given as the first
 //! argument):
 //! * `cypher_eval.json` — the 312-question benchmark
-//! * `iyp_graph.json` — the synthetic IYP graph snapshot
+//! * `iyp_graph.json` — the synthetic IYP graph as a version-1
+//!   checkpoint (loads with `iyp_graphdb::snapshot::load_snapshot`)
 //! * `evaluation_records.json` — per-question pipeline outputs and all
 //!   four metric scores
 //! * `iyp_graph.cypher` — the graph as a replayable Cypher script
@@ -13,6 +14,7 @@
 use chatiyp_bench::{run_evaluation_on, ExperimentConfig};
 use cypher_eval::build_dataset;
 use iyp_data::generate;
+use iyp_graphdb::GraphSnapshot;
 use std::path::PathBuf;
 
 fn main() {
@@ -39,7 +41,8 @@ fn main() {
     );
 
     let graph_path = dir.join("iyp_graph.json");
-    iyp_graphdb::snapshot::save(&dataset.graph, &graph_path).expect("write snapshot");
+    let snapshot = GraphSnapshot::new(dataset.graph.clone(), 1);
+    iyp_graphdb::snapshot::save_snapshot(&snapshot, &graph_path).expect("write snapshot");
     println!(
         "wrote {} ({} nodes, {} rels)",
         graph_path.display(),

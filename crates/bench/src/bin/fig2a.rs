@@ -12,7 +12,7 @@
 //!   small spread, weak separation;
 //! * G-Eval is bimodal — mass at both ends, high bimodality coefficient.
 
-use chatiyp_bench::{run_evaluation, ExperimentConfig};
+use chatiyp_bench::{ok, run_evaluation, ExperimentConfig};
 use iyp_metrics::stats::{summarize, Histogram};
 use iyp_metrics::MetricKind;
 
@@ -80,12 +80,4 @@ fn main() {
         geval_hist.edge_mass(),
         ok(geval_hist.edge_mass() > 0.6)
     );
-}
-
-fn ok(b: bool) -> &'static str {
-    if b {
-        "OK"
-    } else {
-        "MISMATCH"
-    }
 }

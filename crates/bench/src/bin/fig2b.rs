@@ -6,7 +6,7 @@
 //! * no consistent gap between general and technical domains — structural
 //!   complexity, not domain specificity, is what hurts.
 
-use chatiyp_bench::{run_evaluation, ExperimentConfig};
+use chatiyp_bench::{ok, run_evaluation, ExperimentConfig};
 use iyp_llm::{Difficulty, Domain};
 use iyp_metrics::stats::{summarize, Histogram};
 
@@ -113,12 +113,4 @@ fn main() {
             .join(", "),
         ok(inconsistent)
     );
-}
-
-fn ok(b: bool) -> &'static str {
-    if b {
-        "OK"
-    } else {
-        "MISMATCH"
-    }
 }

@@ -20,17 +20,12 @@
 //!
 //! Results are written to `BENCH_index.json` at the repository root.
 
+use chatiyp_bench::{count_arg, percentile, write_report};
 use chatiyp_core::RetrievalIndex;
 use iyp_data::{describe_delta, generate, growth_batch, IypConfig};
 use iyp_graphdb::Graph;
 use iyp_llm::EntityCatalog;
 use std::time::Instant;
-
-fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let idx = ((samples.len() - 1) as f64 * p).round() as usize;
-    samples[idx]
-}
 
 struct Arm {
     batch_size: usize,
@@ -98,10 +93,7 @@ fn refresh_arm(base: &Graph, warm: &RetrievalIndex, batch_size: usize, rounds: u
 }
 
 fn main() {
-    let rounds: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(20);
+    let rounds = count_arg(20);
 
     let base = generate(&IypConfig::default()).graph;
     let t0 = Instant::now();
@@ -148,13 +140,7 @@ fn main() {
             "docs_patched_median": a.docs_patched_median,
         })).collect::<Vec<_>>(),
     });
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_index.json");
-    std::fs::write(
-        out,
-        serde_json::to_string_pretty(&report).expect("report serializes") + "\n",
-    )
-    .expect("BENCH_index.json writes");
-    println!("wrote {out}");
+    write_report("BENCH_index.json", &report);
 
     for a in &arms {
         assert!(

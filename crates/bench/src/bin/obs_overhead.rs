@@ -18,58 +18,25 @@
 //! cargo run --release -p chatiyp-bench --bin obs_overhead [-- PASSES]
 //! ```
 
+use chatiyp_bench::{ask_pass, count_arg, percentile, tiny_lookup_questions, tiny_oracle_pipeline};
 use chatiyp_core::{ChatIyp, ChatIypConfig};
 use iyp_cypher::corpus::PARITY_QUERIES;
 use iyp_cypher::{profile_with_limits, ExecLimits, Params};
 use iyp_data::{generate, IypConfig};
-use iyp_llm::LmConfig;
 use std::time::Instant;
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    samples[samples.len() / 2]
-}
-
 fn pipeline(trace_requests: bool) -> ChatIyp {
-    let config = ChatIypConfig {
-        lm: LmConfig {
-            seed: 42,
-            skill: 1.0,
-            variety: 0.0,
-        },
+    tiny_oracle_pipeline(ChatIypConfig {
         trace_requests,
         ..Default::default()
-    };
-    ChatIyp::new(generate(&IypConfig::tiny()), config)
-}
-
-/// One timed pass of the question batch through a pipeline; seconds.
-fn ask_pass(chat: &ChatIyp, questions: &[String]) -> f64 {
-    let t0 = Instant::now();
-    for q in questions {
-        chat.ask(q);
-    }
-    t0.elapsed().as_secs_f64()
+    })
 }
 
 fn main() {
-    let passes: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(30);
+    let passes = count_arg(30);
 
     // -- 1. Tracing overhead on the ask path ---------------------------
-    let dataset = generate(&IypConfig::tiny());
-    let questions: Vec<String> = dataset
-        .ases
-        .iter()
-        .flat_map(|a| {
-            [
-                format!("What is the name of AS{}?", a.asn),
-                format!("In which country is AS{} registered?", a.asn),
-            ]
-        })
-        .collect();
+    let questions = tiny_lookup_questions();
 
     let untraced = pipeline(false);
     let traced = pipeline(true);
@@ -86,8 +53,8 @@ fn main() {
         t_untraced.push(ask_pass(&untraced, &questions));
         t_traced.push(ask_pass(&traced, &questions));
     }
-    let m_untraced = median(&mut t_untraced);
-    let m_traced = median(&mut t_traced);
+    let m_untraced = percentile(&mut t_untraced, 0.5);
+    let m_traced = percentile(&mut t_traced, 0.5);
     let trace_overhead = (m_traced - m_untraced) / m_untraced * 100.0;
 
     println!("questions per pass:   {}", questions.len());
@@ -114,8 +81,8 @@ fn main() {
         }
         t_profiled.push(t0.elapsed().as_secs_f64());
     }
-    let m_plain = median(&mut t_plain);
-    let m_profiled = median(&mut t_profiled);
+    let m_plain = percentile(&mut t_plain, 0.5);
+    let m_profiled = percentile(&mut t_profiled, 0.5);
     println!("corpus, plain:        {:.3}ms", m_plain * 1e3);
     println!("corpus, PROFILE:      {:.3}ms", m_profiled * 1e3);
     println!(

@@ -6,7 +6,7 @@
 //! route distribution, and the frequency of each injected translation
 //! error kind.
 
-use chatiyp_bench::{row, run_evaluation, ExperimentConfig, ItemRecord};
+use chatiyp_bench::{ok, row, run_evaluation, ExperimentConfig, ItemRecord};
 use chatiyp_core::Route;
 use iyp_llm::{Difficulty, Domain};
 use std::collections::BTreeMap;
@@ -113,12 +113,4 @@ fn main() {
         100.0 * domain_gap,
         ok(difficulty_gap > 2.0 * domain_gap)
     );
-}
-
-fn ok(b: bool) -> &'static str {
-    if b {
-        "OK"
-    } else {
-        "MISMATCH"
-    }
 }

@@ -17,6 +17,7 @@
 //!
 //! Results are written to `BENCH_wal.json` at the repository root.
 
+use chatiyp_bench::{count_arg, percentile, write_report};
 use chatiyp_core::{ChatIyp, ChatIypConfig, DurabilityConfig};
 use iyp_data::{generate, growth_batch, IypConfig};
 use iyp_graphdb::{DeltaBatch, FsyncPolicy};
@@ -35,12 +36,6 @@ const RECOVERY_BATCH: usize = 20;
 /// about a WAL with real history behind it, so this arm writes several
 /// records per round (120 at the default 30 rounds).
 const RECOVERY_RECORDS_PER_ROUND: usize = 4;
-
-fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let idx = ((samples.len() - 1) as f64 * p).round() as usize;
-    samples[idx]
-}
 
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("chatiyp_wal_overhead_{name}"));
@@ -193,10 +188,7 @@ fn recovery_arm(rounds: usize) -> RecoveryNumbers {
 }
 
 fn main() {
-    let rounds: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(30);
+    let rounds = count_arg(30);
 
     // In-memory baseline: the same ingest path with no WAL behind it.
     let plain = ChatIyp::new(generate(&IypConfig::tiny()), pipeline_config());
@@ -260,13 +252,7 @@ fn main() {
             "replay_speedup_vs_http": rec.speedup,
         }),
     });
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wal.json");
-    std::fs::write(
-        out,
-        serde_json::to_string_pretty(&report).expect("report serializes") + "\n",
-    )
-    .expect("BENCH_wal.json writes");
-    println!("wrote {out}");
+    write_report("BENCH_wal.json", &report);
 
     // Gate 1: amortized-fsync durability costs at most 2x in-memory.
     let every_n = &arms[0];

@@ -306,9 +306,95 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
         .join("  ")
 }
 
+/// The `p`-quantile (`p` in `0.0..=1.0`) of `samples` by nearest rank:
+/// sorts them in place and returns `samples[round((n - 1) · p)]`. At
+/// `p = 0.5` that is the upper median `samples[n / 2]`. Panics on an
+/// empty slice or a NaN sample.
+pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let idx = ((samples.len() - 1) as f64 * p).round() as usize;
+    samples[idx]
+}
+
+/// The repetition count a bench binary takes as its first argument
+/// (`cargo run --bin NAME -- N`), or `default` when it is absent.
+pub fn count_arg(default: usize) -> usize {
+    std::env::args()
+        .nth(1)
+        .and_then(|a| a.parse().ok())
+        .unwrap_or(default)
+}
+
+/// A pipeline over the tiny generated graph with the oracle LM (full
+/// skill, no paraphrase variety) and the rest of `config`.
+pub fn tiny_oracle_pipeline(config: ChatIypConfig) -> ChatIyp {
+    let lm = iyp_llm::LmConfig {
+        seed: 42,
+        skill: 1.0,
+        variety: 0.0,
+    };
+    ChatIyp::new(generate(&IypConfig::tiny()), ChatIypConfig { lm, ..config })
+}
+
+/// A shape check's verdict, as the figure and table binaries print it.
+pub fn ok(b: bool) -> &'static str {
+    if b {
+        "OK"
+    } else {
+        "MISMATCH"
+    }
+}
+
+/// The ask-path overhead benches' workload: a name and a country
+/// question for every AS of the tiny generated graph.
+pub fn tiny_lookup_questions() -> Vec<String> {
+    let dataset = generate(&IypConfig::tiny());
+    dataset
+        .ases
+        .iter()
+        .flat_map(|a| {
+            [
+                format!("What is the name of AS{}?", a.asn),
+                format!("In which country is AS{} registered?", a.asn),
+            ]
+        })
+        .collect()
+}
+
+/// One timed pass of `questions` through `chat`; seconds.
+pub fn ask_pass(chat: &ChatIyp, questions: &[String]) -> f64 {
+    let t0 = std::time::Instant::now();
+    for q in questions {
+        chat.ask(q);
+    }
+    t0.elapsed().as_secs_f64()
+}
+
+/// Writes `report` as pretty JSON to `file` at the repository root (a
+/// `BENCH_*.json` bench report) and prints where it went.
+pub fn write_report(file: &str, report: &serde_json::Value) {
+    let out = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    let json = serde_json::to_string_pretty(report).expect("report serializes") + "\n";
+    std::fs::write(&out, json).unwrap_or_else(|e| panic!("{file} writes: {e}"));
+    println!("wrote {out}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `percentile(x, 0.5)` is the upper median `samples[n / 2]` for every
+    /// length: `((n - 1) · 0.5).round() == n / 2`, as `f64::round` rounds
+    /// half away from zero.
+    #[test]
+    fn percentile_half_is_the_upper_median_and_ends_are_min_max() {
+        for n in 1..=64usize {
+            let mut samples: Vec<f64> = (0..n).rev().map(|i| i as f64).collect();
+            assert_eq!(percentile(&mut samples, 0.5), (n / 2) as f64, "n = {n}");
+            assert_eq!(percentile(&mut samples, 0.0), 0.0, "n = {n}");
+            assert_eq!(percentile(&mut samples, 1.0), (n - 1) as f64, "n = {n}");
+        }
+    }
 
     #[test]
     fn small_run_produces_sane_records() {

@@ -7,7 +7,7 @@
 //!   text → parsed query, shared as `Arc<Query>` across threads. Hit on
 //!   any repeat of the text, even when the result tier misses.
 //! * **Tier 2 — result cache** (this module): `(normalized query, params)`
-//!   → materialized [`QueryResult`], bounded LRU with optional TTL.
+//!   → materialized [`QueryResult`], bounded LRU.
 //!
 //! Correctness rests on the graph's monotonic **write epoch**
 //! ([`iyp_graphdb::Graph::epoch`]), read off the immutable
@@ -23,8 +23,8 @@
 //!
 //! Hits return the result behind an [`Arc`] so heavy rows are never
 //! copied on the hot path; counters (hits, misses, evictions, epoch
-//! invalidations, TTL expirations) are exported via [`QueryCache::stats`]
-//! and surfaced by the server's `/stats` endpoint.
+//! invalidations) are exported via [`QueryCache::stats`] and surfaced by
+//! the server's `/stats` endpoint.
 
 use crate::obs::STAGE_METRIC;
 use iyp_cypher::cache::Lru;
@@ -39,26 +39,17 @@ use std::time::{Duration, Instant};
 /// Configuration of the query cache.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Master switch; when false every lookup executes cold and nothing
-    /// is stored (counters still advance, all as misses).
-    pub enabled: bool,
     /// Maximum resident results (tier 2).
     pub capacity: usize,
     /// Maximum resident parsed plans (tier 1).
     pub plan_capacity: usize,
-    /// Results older than this are re-executed even at an unchanged
-    /// epoch. `None` disables TTL expiry (the epoch alone guarantees
-    /// correctness; a TTL only bounds staleness across graph *swaps*).
-    pub ttl: Option<Duration>,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
-            enabled: true,
             capacity: 1024,
             plan_capacity: 512,
-            ttl: None,
         }
     }
 }
@@ -74,8 +65,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Result entries discarded because the graph epoch moved.
     pub invalidations: u64,
-    /// Result entries discarded because their TTL elapsed.
-    pub expirations: u64,
     /// Live result entries.
     pub len: usize,
     /// Result-tier capacity.
@@ -88,8 +77,6 @@ struct CachedResult {
     result: Arc<QueryResult>,
     /// Graph epoch the result was computed at.
     epoch: u64,
-    /// Insertion time, for TTL expiry.
-    inserted: Instant,
 }
 
 /// Pre-resolved histogram handles for the per-query stages, so the hot
@@ -126,7 +113,6 @@ pub struct QueryCache {
     misses: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
-    expirations: AtomicU64,
     /// Stage latency histograms, when a metric registry is attached.
     timers: Option<StageTimers>,
 }
@@ -148,7 +134,6 @@ impl QueryCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
-            expirations: AtomicU64::new(0),
             timers: None,
         }
     }
@@ -213,12 +198,6 @@ impl QueryCache {
         params: &Params,
         limits: ExecLimits,
     ) -> Result<Arc<QueryResult>, CypherError> {
-        if !self.config.enabled {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let p = self.prepare_timed(src)?;
-            return self.execute_timed(snap, &p, params, limits);
-        }
-
         let key = Self::key(src, params);
         // The snapshot is immutable, so its epoch is the one the whole
         // query runs at — entries recorded here can only ever be served
@@ -228,29 +207,19 @@ impl QueryCache {
         {
             let lookup_start = self.timers.as_ref().map(|_| Instant::now());
             let mut lru = self.lock();
-            let verdict = lru.get(&key).map(|entry| {
-                if entry.epoch != epoch {
-                    Err(&self.invalidations)
-                } else if self
-                    .config
-                    .ttl
-                    .is_some_and(|ttl| entry.inserted.elapsed() > ttl)
-                {
-                    Err(&self.expirations)
-                } else {
-                    Ok(Arc::clone(&entry.result))
-                }
-            });
+            let verdict = lru
+                .get(&key)
+                .map(|entry| (entry.epoch == epoch).then(|| Arc::clone(&entry.result)));
             if let (Some(t), Some(t0)) = (&self.timers, lookup_start) {
                 t.cache_lookup.observe(t0.elapsed());
             }
             match verdict {
-                Some(Ok(result)) => {
+                Some(Some(result)) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(result);
                 }
-                Some(Err(counter)) => {
-                    counter.fetch_add(1, Ordering::Relaxed);
+                Some(None) => {
+                    self.invalidations.fetch_add(1, Ordering::Relaxed);
                     lru.remove(&key);
                 }
                 None => {}
@@ -263,7 +232,6 @@ impl QueryCache {
         let entry = CachedResult {
             result: Arc::clone(&result),
             epoch,
-            inserted: Instant::now(),
         };
         if self.lock().insert(key, entry) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -337,7 +305,6 @@ impl QueryCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            expirations: self.expirations.load(Ordering::Relaxed),
             len: lru.len(),
             capacity: lru.capacity(),
             plan: self.plans.stats(),
@@ -436,22 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_entries() {
-        let g = tiny_graph();
-        let cache = QueryCache::new(CacheConfig {
-            ttl: Some(Duration::from_millis(0)),
-            ..CacheConfig::default()
-        });
-        let q = "MATCH (a:AS) RETURN count(a)";
-        cache.get_or_execute(&g, q, &Params::new()).unwrap();
-        std::thread::sleep(Duration::from_millis(2));
-        cache.get_or_execute(&g, q, &Params::new()).unwrap();
-        let s = cache.stats();
-        assert_eq!(s.expirations, 1);
-        assert_eq!(s.hits, 0);
-    }
-
-    #[test]
     fn capacity_bounds_and_eviction_counts() {
         let g = tiny_graph();
         let cache = QueryCache::new(CacheConfig {
@@ -468,22 +419,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.len, 2);
         assert_eq!(s.evictions, 1);
-    }
-
-    #[test]
-    fn disabled_cache_executes_cold_every_time() {
-        let g = tiny_graph();
-        let cache = QueryCache::new(CacheConfig {
-            enabled: false,
-            ..CacheConfig::default()
-        });
-        let q = "MATCH (a:AS) RETURN count(a)";
-        let a = cache.get_or_execute(&g, q, &Params::new()).unwrap();
-        let b = cache.get_or_execute(&g, q, &Params::new()).unwrap();
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(*a, *b);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.len), (0, 2, 0));
     }
 
     #[test]

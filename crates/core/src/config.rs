@@ -27,9 +27,8 @@ pub struct ChatIypConfig {
     /// (the paper's configuration); the `full+retry` ablation arm
     /// explores the paper's "further future research" direction.
     pub max_retries: u32,
-    /// Two-tier query cache knobs (capacity, plan capacity, TTL,
-    /// on/off). Shared between the `ask` path and the server's
-    /// `/cypher` endpoint.
+    /// Two-tier query cache sizes (result and plan capacity). Shared
+    /// between the `ask` path and the server's `/cypher` endpoint.
     pub cache: CacheConfig,
     /// Worker threads for morsel-parallel `MATCH` expansion in read
     /// queries. Defaults to the machine's available cores; `1` executes

@@ -1,10 +1,9 @@
 //! Cosine-similarity vector index.
 //!
-//! A flat (exact) index plus a bucketed variant that partitions vectors by
-//! their dominant dimension for faster approximate search on larger
-//! corpora. Both return identical results when `probe` covers all buckets.
+//! One exact index, [`FlatIndex`]: brute-force cosine over every live
+//! vector, with fully deterministic ranking.
 //!
-//! Both indexes are **tombstone-aware**: a document can be removed (its
+//! The index is **tombstone-aware**: a document can be removed (its
 //! slot is skipped by searches) or overwritten in place, which is what
 //! lets a live system refresh single documents after an ingest instead of
 //! rebuilding the whole index.
@@ -28,7 +27,6 @@ pub struct FlatIndex {
     /// slots keep their (stale) vector but are invisible to `search`
     /// until [`FlatIndex::set`] revives them.
     live: Vec<bool>,
-    live_count: usize,
 }
 
 impl FlatIndex {
@@ -41,47 +39,20 @@ impl FlatIndex {
     pub fn add(&mut self, v: Vector) -> usize {
         self.vectors.push(v);
         self.live.push(true);
-        self.live_count += 1;
         self.vectors.len() - 1
     }
 
     /// Overwrites slot `doc` with `v`, reviving it if it was tombstoned.
     /// Panics if `doc` was never allocated by [`FlatIndex::add`].
     pub fn set(&mut self, doc: usize, v: Vector) {
-        if !self.live[doc] {
-            self.live[doc] = true;
-            self.live_count += 1;
-        }
+        self.live[doc] = true;
         self.vectors[doc] = v;
     }
 
     /// Tombstones slot `doc`: searches skip it from now on. Removing an
     /// already-dead slot is a no-op. Panics if `doc` was never allocated.
     pub fn remove(&mut self, doc: usize) {
-        if self.live[doc] {
-            self.live[doc] = false;
-            self.live_count -= 1;
-        }
-    }
-
-    /// Is slot `doc` live (allocated and not tombstoned)?
-    pub fn is_live(&self, doc: usize) -> bool {
-        self.live.get(doc).copied().unwrap_or(false)
-    }
-
-    /// Number of slots ever allocated (live + tombstoned).
-    pub fn len(&self) -> usize {
-        self.vectors.len()
-    }
-
-    /// Number of live (searchable) vectors.
-    pub fn live_len(&self) -> usize {
-        self.live_count
-    }
-
-    /// True if no live vectors remain.
-    pub fn is_empty(&self) -> bool {
-        self.live_count == 0
+        self.live[doc] = false;
     }
 
     /// Top-`k` most similar live documents, sorted by descending score
@@ -106,149 +77,6 @@ impl FlatIndex {
         hits.truncate(k);
         hits
     }
-}
-
-/// Bucketed approximate index: vectors are grouped by argmax dimension;
-/// queries probe the `probe` buckets with the largest |query| components.
-///
-/// Removal and re-insertion are tombstone-aware: [`BucketIndex::remove`]
-/// hides a document, and [`BucketIndex::insert`] places (or replaces) a
-/// document under an explicit id, so callers can keep bucket ids aligned
-/// with an external document store across updates.
-#[derive(Debug, Clone)]
-pub struct BucketIndex {
-    dim: usize,
-    buckets: Vec<Vec<(usize, Vector)>>,
-    /// doc id → bucket holding it (`None` once removed).
-    slots: Vec<Option<usize>>,
-    live_count: usize,
-}
-
-impl BucketIndex {
-    /// Creates an index for vectors of dimensionality `dim`.
-    pub fn new(dim: usize) -> Self {
-        BucketIndex {
-            dim,
-            buckets: (0..dim).map(|_| Vec::new()).collect(),
-            slots: Vec::new(),
-            live_count: 0,
-        }
-    }
-
-    /// Adds a vector under the next fresh document id, returning the id.
-    pub fn add(&mut self, v: Vector) -> usize {
-        let doc = self.slots.len();
-        self.insert(doc, v);
-        doc
-    }
-
-    /// Inserts (or replaces) the vector for document `doc`. A live `doc`
-    /// is moved to its new bucket; a tombstoned `doc` is revived; a `doc`
-    /// past the current range extends it (intermediate ids stay dead).
-    pub fn insert(&mut self, doc: usize, v: Vector) {
-        assert_eq!(v.dim(), self.dim);
-        if doc >= self.slots.len() {
-            self.slots.resize(doc + 1, None);
-        }
-        if self.slots[doc].is_some() {
-            self.remove(doc);
-        }
-        let bucket = argmax_abs(&v);
-        self.buckets[bucket].push((doc, v));
-        self.slots[doc] = Some(bucket);
-        self.live_count += 1;
-    }
-
-    /// Tombstones document `doc`: searches skip it until a future
-    /// [`BucketIndex::insert`] revives the id. Unknown or already-dead
-    /// ids are a no-op.
-    pub fn remove(&mut self, doc: usize) {
-        let Some(bucket) = self.slots.get(doc).copied().flatten() else {
-            return;
-        };
-        self.buckets[bucket].retain(|(d, _)| *d != doc);
-        self.slots[doc] = None;
-        self.live_count -= 1;
-    }
-
-    /// Number of live (searchable) vectors.
-    pub fn len(&self) -> usize {
-        self.live_count
-    }
-
-    /// True if no live vectors remain.
-    pub fn is_empty(&self) -> bool {
-        self.live_count == 0
-    }
-
-    /// Top-`k` hits probing the `probe` most promising buckets.
-    ///
-    /// Edge cases are defined, not incidental:
-    /// * `probe == 0` is treated as `probe == 1` — a search that probes
-    ///   nothing would silently return nothing, which has never been what
-    ///   a caller meant (a `debug_assert` flags the call in debug builds).
-    /// * `probe > dim` covers every bucket, making the result identical
-    ///   to [`FlatIndex::search`] over the same corpus.
-    /// * An all-zero query has no promising direction: every |component|
-    ///   ties, the (stable) sort keeps buckets in dimension order, so the
-    ///   first `probe` buckets are scanned and all scores are 0, ordered
-    ///   by ascending doc id.
-    pub fn search(&self, query: &Vector, k: usize, probe: usize) -> Vec<Hit> {
-        debug_assert!(
-            probe > 0,
-            "BucketIndex::search with probe = 0 probes one bucket, not zero; \
-             pass the number of buckets you mean"
-        );
-        let mut dims: Vec<usize> = (0..self.dim).collect();
-        dims.sort_by(|&a, &b| {
-            query.0[b]
-                .abs()
-                .partial_cmp(&query.0[a].abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut hits: Vec<Hit> = Vec::new();
-        for &d in dims.iter().take(probe.max(1)) {
-            for (doc, v) in &self.buckets[d] {
-                hits.push(Hit {
-                    doc: *doc,
-                    score: query.cosine(v),
-                });
-            }
-        }
-        hits.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.doc.cmp(&b.doc))
-        });
-        hits.truncate(k);
-        hits
-    }
-}
-
-/// The dominant dimension of `v`: the index of its largest |component|.
-///
-/// Defined edge cases: an all-zero vector (every |component| ties at 0)
-/// maps to bucket 0, as does any vector whose components are all NaN
-/// (NaN comparisons are false, so the initial candidate survives). Both
-/// are flagged by a `debug_assert` — a NaN embedding is always an
-/// upstream bug, and an all-zero embedding (empty text) buckets
-/// arbitrarily — but release builds stay deterministic instead of
-/// panicking.
-fn argmax_abs(v: &Vector) -> usize {
-    debug_assert!(
-        v.0.iter().all(|x| x.is_finite()),
-        "argmax_abs over a non-finite vector buckets arbitrarily"
-    );
-    let mut best = 0;
-    let mut best_val = -1.0f32;
-    for (i, x) in v.0.iter().enumerate() {
-        if x.abs() > best_val {
-            best_val = x.abs();
-            best = i;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -303,16 +131,16 @@ mod tests {
         assert_eq!(idx.search(&q, 1)[0].doc, 3);
 
         idx.remove(3);
-        assert_eq!(idx.live_len(), docs.len() - 1);
-        assert!(!idx.is_live(3));
-        assert!(idx.search(&q, docs.len()).iter().all(|h| h.doc != 3));
+        let hits = idx.search(&q, docs.len());
+        assert_eq!(hits.len(), docs.len() - 1);
+        assert!(hits.iter().all(|h| h.doc != 3));
         // Double-remove is a no-op.
         idx.remove(3);
-        assert_eq!(idx.live_len(), docs.len() - 1);
+        assert_eq!(idx.search(&q, docs.len()), hits);
 
         // Reviving the slot with a fresh vector brings it back.
         idx.set(3, e.embed(docs[3]));
-        assert_eq!(idx.live_len(), docs.len());
+        assert_eq!(idx.search(&q, docs.len()).len(), docs.len());
         assert_eq!(idx.search(&q, 1)[0].doc, 3);
     }
 
@@ -325,133 +153,29 @@ mod tests {
         let q = e.embed("gamma routing");
         idx.set(1, e.embed("gamma routing platform"));
         assert_eq!(idx.search(&q, 1)[0].doc, 1);
-        assert_eq!(idx.len(), 2);
-        assert_eq!(idx.live_len(), 2);
-    }
-
-    #[test]
-    fn bucket_index_with_full_probe_matches_flat() {
-        let (e, docs) = corpus();
-        let mut flat = FlatIndex::new();
-        let mut bucket = BucketIndex::new(crate::embedder::DEFAULT_DIM);
-        for d in &docs {
-            flat.add(e.embed(d));
-            bucket.add(e.embed(d));
-        }
-        let q = e.embed("population of Japan");
-        let hf = flat.search(&q, 3);
-        let hb = bucket.search(&q, 3, crate::embedder::DEFAULT_DIM);
-        assert_eq!(hf, hb);
-    }
-
-    #[test]
-    fn bucket_probe_zero_probes_one_bucket() {
-        // probe = 0 is documented to behave exactly like probe = 1 (the
-        // debug_assert fires for callers, not for this pinned contract).
-        let (e, docs) = corpus();
-        let mut idx = BucketIndex::new(crate::embedder::DEFAULT_DIM);
-        for d in &docs {
-            idx.add(e.embed(d));
-        }
-        let q = e.embed("internet exchange");
-        let zero = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| idx.search(&q, 5, 0)));
-        if cfg!(debug_assertions) {
-            assert!(zero.is_err(), "probe=0 must trip the debug_assert");
-        } else {
-            assert_eq!(zero.unwrap(), idx.search(&q, 5, 1));
-        }
-    }
-
-    #[test]
-    fn bucket_probe_beyond_dim_equals_flat() {
-        let (e, docs) = corpus();
-        let mut flat = FlatIndex::new();
-        let mut idx = BucketIndex::new(crate::embedder::DEFAULT_DIM);
-        for d in &docs {
-            flat.add(e.embed(d));
-            idx.add(e.embed(d));
-        }
-        let q = e.embed("cloud networks");
-        // probe far past the dimensionality simply covers all buckets.
-        assert_eq!(
-            idx.search(&q, 4, crate::embedder::DEFAULT_DIM * 10),
-            flat.search(&q, 4)
-        );
+        assert_eq!(idx.search(&q, 9).len(), 2);
     }
 
     #[test]
     fn zero_query_vector_is_deterministic_and_ties_by_doc_id() {
         let (e, docs) = corpus();
-        let mut idx = BucketIndex::new(crate::embedder::DEFAULT_DIM);
+        let mut idx = FlatIndex::new();
         for d in &docs {
             idx.add(e.embed(d));
         }
         let zero = Vector(vec![0.0; crate::embedder::DEFAULT_DIM]);
-        // Full probe: every doc scores 0.0, ordered by ascending doc id.
-        let hits = idx.search(&zero, docs.len(), crate::embedder::DEFAULT_DIM);
+        // Every doc scores 0.0, so the order is ascending doc id.
+        let hits = idx.search(&zero, docs.len());
         assert_eq!(hits.len(), docs.len());
         assert!(hits.iter().all(|h| h.score == 0.0));
         let ids: Vec<usize> = hits.iter().map(|h| h.doc).collect();
         assert_eq!(ids, (0..docs.len()).collect::<Vec<_>>());
         // And the result is reproducible.
-        assert_eq!(
-            hits,
-            idx.search(&zero, docs.len(), crate::embedder::DEFAULT_DIM)
-        );
-    }
-
-    #[test]
-    fn zero_vector_documents_land_in_bucket_zero() {
-        // An all-zero *document* has no dominant dimension; argmax_abs is
-        // documented to map it to bucket 0, deterministically.
-        let mut idx = BucketIndex::new(8);
-        let doc = idx.add(Vector(vec![0.0; 8]));
-        let q = Vector(vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        // Bucket 0 is the top probe for this query; the zero doc shows up
-        // (with score 0) once any bucket-0 probe happens.
-        let hits = idx.search(&q, 1, 1);
-        assert_eq!(hits, vec![Hit { doc, score: 0.0 }]);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "non-finite")]
-    fn nan_vectors_are_rejected_in_debug_builds() {
-        let mut idx = BucketIndex::new(4);
-        idx.add(Vector(vec![f32::NAN; 4]));
-    }
-
-    #[test]
-    fn bucket_remove_and_reinsert_stay_aligned() {
-        let (e, docs) = corpus();
-        let mut idx = BucketIndex::new(crate::embedder::DEFAULT_DIM);
-        for d in &docs {
-            idx.add(e.embed(d));
-        }
-        let q = e.embed("Which exchange point is in Tokyo?");
-        assert_eq!(idx.search(&q, 1, crate::embedder::DEFAULT_DIM)[0].doc, 3);
-
-        idx.remove(3);
-        assert_eq!(idx.len(), docs.len() - 1);
-        assert!(idx
-            .search(&q, docs.len(), crate::embedder::DEFAULT_DIM)
-            .iter()
-            .all(|h| h.doc != 3));
-        // Unknown / double removes are no-ops.
-        idx.remove(3);
-        idx.remove(999);
-        assert_eq!(idx.len(), docs.len() - 1);
-
-        // Re-insert under the same id (possibly a different bucket).
-        idx.insert(3, e.embed("JPIX the Tokyo exchange point, refreshed"));
-        assert_eq!(idx.len(), docs.len());
-        assert_eq!(idx.search(&q, 1, crate::embedder::DEFAULT_DIM)[0].doc, 3);
-
-        // Replacing a live id moves it, never duplicates it.
-        idx.insert(3, e.embed(docs[3]));
-        assert_eq!(idx.len(), docs.len());
-        let all = idx.search(&q, 100, crate::embedder::DEFAULT_DIM);
-        assert_eq!(all.iter().filter(|h| h.doc == 3).count(), 1);
+        assert_eq!(hits, idx.search(&zero, docs.len()));
+        // Truncation keeps the lowest ids; tombstones drop out of the tie.
+        idx.remove(1);
+        let ids: Vec<usize> = idx.search(&zero, 3).iter().map(|h| h.doc).collect();
+        assert_eq!(ids, vec![0, 2, 3]);
     }
 
     #[test]

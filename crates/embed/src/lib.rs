@@ -5,8 +5,8 @@
 //!
 //! [`embedder::Embedder`] hashes word unigrams/bigrams and character
 //! trigrams into a fixed-dimension signed vector (the feature-hashing
-//! trick) and L2-normalizes it. [`index`] provides exact and bucketed
-//! cosine search; [`docs::DocStore`] pairs texts with their vectors.
+//! trick) and L2-normalizes it. [`index`] provides exact cosine search
+//! ([`FlatIndex`]); [`docs::DocStore`] pairs texts with their vectors.
 //!
 //! ```
 //! use iyp_embed::DocStore;
@@ -27,4 +27,4 @@ pub mod tokenize;
 
 pub use docs::{Doc, DocHit, DocStore};
 pub use embedder::{Embedder, Vector, DEFAULT_DIM};
-pub use index::{BucketIndex, FlatIndex, Hit};
+pub use index::{FlatIndex, Hit};

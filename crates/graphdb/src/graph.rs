@@ -123,7 +123,11 @@ impl fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// The property-graph store.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+///
+/// Deserialization rejects a payload whose cross-references dangle
+/// (see [`crate::snapshot`]), so a loaded graph upholds the same
+/// invariants as one built through the mutation API.
+#[derive(Debug, Default, Clone, Serialize)]
 pub struct Graph {
     nodes: PagedVec<NodeRecord>,
     rels: PagedVec<RelRecord>,
@@ -138,11 +142,185 @@ pub struct Graph {
     /// caches keyed on query text can detect that previously recorded
     /// results may be stale (see `chatiyp-core`'s query cache).
     ///
-    /// Persisted by snapshots (`serde(default)` keeps pre-epoch snapshot
-    /// files loadable at epoch 0) so a save → load round-trip cannot
-    /// rewind the counter a cache already observed.
-    #[serde(default)]
+    /// Persisted by snapshots so a save → load round-trip cannot rewind
+    /// the counter a cache already observed.
     epoch: u64,
+}
+
+/// The serialized shape of [`Graph`], field for field, except that label
+/// membership is read as plain id lists: no [`LabelSet`] shard is
+/// allocated for an id before [`GraphPayload::validate`] has checked it
+/// against the node table.
+#[derive(Deserialize)]
+struct GraphPayload {
+    nodes: PagedVec<NodeRecord>,
+    rels: PagedVec<RelRecord>,
+    labels: Interner,
+    rel_types: Interner,
+    label_members: Vec<Vec<NodeId>>,
+    indexes: IndexSet,
+    live_nodes: usize,
+    live_rels: usize,
+    epoch: u64,
+}
+
+impl Deserialize for Graph {
+    fn deserialize(c: &serde::Content) -> Result<Self, serde::Error> {
+        GraphPayload::deserialize(c)?
+            .validate()
+            .map_err(serde::Error::custom)
+    }
+}
+
+impl GraphPayload {
+    /// Checks every cross-reference a disk payload carries, then builds
+    /// the graph. A payload that passes upholds the invariants the
+    /// mutation API maintains, so no later read or write can trip over a
+    /// dangling id:
+    ///
+    /// * each record sits in the slot its id names, and the live counts
+    ///   match the tables;
+    /// * node labels and relationship types are symbols of their
+    ///   interners (node labels sorted and distinct);
+    /// * every relationship's endpoints are live nodes, and the adjacency
+    ///   lists hold each live relationship exactly once per direction, on
+    ///   the endpoint it names;
+    /// * label membership lists exactly the nodes that carry each label;
+    /// * each index holds exactly the live nodes with its label and key,
+    ///   under the key of their value.
+    fn validate(self) -> Result<Graph, String> {
+        let (n_labels, n_types) = (self.labels.len(), self.rel_types.len());
+        let node = |id: NodeId| self.nodes.get(id.0 as usize);
+
+        let mut live_rels = 0;
+        for (slot, rec) in self.rels.iter().enumerate() {
+            let Some(rec) = rec else { continue };
+            live_rels += 1;
+            let id = RelId(slot as u64);
+            ensure(rec.id == id, || {
+                format!("relationship slot {id} holds {}", rec.id)
+            })?;
+            ensure((rec.ty.0 as usize) < n_types, || {
+                format!(
+                    "relationship {id}: type symbol {} outside the {n_types}-type table",
+                    rec.ty.0
+                )
+            })?;
+            for end in [rec.src, rec.dst] {
+                ensure(node(end).is_some(), || {
+                    format!("relationship {id}: endpoint {end} is not a live node")
+                })?;
+            }
+        }
+        ensure(live_rels == self.live_rels, || {
+            format!(
+                "live_rels is {} but {live_rels} relationships are live",
+                self.live_rels
+            )
+        })?;
+
+        // Each adjacency entry must name a live relationship that has
+        // this node as its endpoint, and no relationship may be listed
+        // twice; with one entry per live relationship in each direction,
+        // every relationship is then listed by both of its endpoints.
+        let mut listed = [vec![false; self.rels.len()], vec![false; self.rels.len()]];
+        let mut entries = [0, 0];
+        let (mut live_nodes, mut label_refs) = (0, 0);
+        for (slot, rec) in self.nodes.iter().enumerate() {
+            let Some(rec) = rec else { continue };
+            live_nodes += 1;
+            let id = NodeId(slot as u64);
+            ensure(rec.id == id, || format!("node slot {id} holds {}", rec.id))?;
+            ensure(rec.labels.windows(2).all(|w| w[0] < w[1]), || {
+                format!("node {id}: labels are not sorted and distinct")
+            })?;
+            for sym in &rec.labels {
+                ensure((sym.0 as usize) < n_labels, || {
+                    format!(
+                        "node {id}: label symbol {} outside the {n_labels}-label table",
+                        sym.0
+                    )
+                })?;
+            }
+            label_refs += rec.labels.len();
+            for (dir, list) in [&rec.out, &rec.inc].into_iter().enumerate() {
+                for &rid in list {
+                    let ends_here = self
+                        .rels
+                        .get(rid.0 as usize)
+                        .is_some_and(|r| id == if dir == 0 { r.src } else { r.dst });
+                    let once =
+                        ends_here && !std::mem::replace(&mut listed[dir][rid.0 as usize], true);
+                    ensure(once, || {
+                        format!(
+                            "node {id}: adjacency names relationship {rid}, which is not \
+                             a live relationship listed once on this endpoint"
+                        )
+                    })?;
+                }
+                entries[dir] += list.len();
+            }
+        }
+        ensure(live_nodes == self.live_nodes, || {
+            format!(
+                "live_nodes is {} but {live_nodes} nodes are live",
+                self.live_nodes
+            )
+        })?;
+        ensure(entries == [live_rels, live_rels], || {
+            "a relationship is missing from its endpoints' adjacency".to_string()
+        })?;
+
+        ensure(self.label_members.len() == n_labels, || {
+            format!(
+                "{} label member sets for {n_labels} labels",
+                self.label_members.len()
+            )
+        })?;
+        let mut label_members = Vec::with_capacity(n_labels);
+        for (sym, ids) in self.label_members.iter().enumerate() {
+            let sym = Sym(sym as u32);
+            let mut set = LabelSet::new();
+            for &id in ids {
+                let carries = node(id).is_some_and(|n| n.labels.binary_search(&sym).is_ok());
+                ensure(carries && set.insert(id), || {
+                    format!(
+                        "label `{}` lists node {id}, which is absent, lacks the label \
+                         or is listed twice",
+                        self.labels.resolve(sym)
+                    )
+                })?;
+            }
+            label_members.push(set);
+        }
+        ensure(
+            label_members.iter().map(LabelSet::len).sum::<usize>() == label_refs,
+            || "label membership omits nodes that carry the label".to_string(),
+        )?;
+
+        self.indexes.validate(&self.label_members, node)?;
+
+        Ok(Graph {
+            nodes: self.nodes,
+            rels: self.rels,
+            labels: self.labels,
+            rel_types: self.rel_types,
+            label_members,
+            indexes: self.indexes,
+            live_nodes,
+            live_rels,
+            epoch: self.epoch,
+        })
+    }
+}
+
+/// `Err(msg())` unless `ok`: one load-time check.
+fn ensure(ok: bool, msg: impl FnOnce() -> String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(msg())
+    }
 }
 
 impl Graph {
@@ -613,12 +791,6 @@ impl Graph {
     pub fn ordered_index(&self, label: &str, key: &str) -> Option<OrderedIndex> {
         let sym = self.labels.get(label)?;
         self.indexes.ordered(sym, key)
-    }
-
-    /// Rebuilds transient lookup tables after deserialization.
-    pub fn after_deserialize(&mut self) {
-        self.labels.rebuild_lookup();
-        self.rel_types.rebuild_lookup();
     }
 
     // ------------------------------------------------------------------

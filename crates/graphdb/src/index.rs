@@ -15,7 +15,7 @@
 //! relationship tables. The on-disk layout is unchanged from the flat
 //! store: a single key-sorted pair list per index.
 
-use crate::graph::NodeId;
+use crate::graph::{NodeId, NodeRecord};
 use crate::intern::Sym;
 use crate::props::Props;
 use crate::value::ValueKey;
@@ -343,6 +343,59 @@ impl IndexSet {
             }
         }
         Some(OrderedIndex { entries })
+    }
+
+    /// Load-time check (see `GraphPayload::validate` in `graph.rs`):
+    /// every index hangs off one of the graph's labels, given as their
+    /// validated `label_members`, and holds exactly the live nodes that
+    /// carry its label and key, each under the key of its value, in
+    /// sorted buckets. Anything else would leave an id that the
+    /// maintenance hooks below can never remove.
+    pub(crate) fn validate<'a>(
+        &self,
+        label_members: &[Vec<NodeId>],
+        node: impl Fn(NodeId) -> Option<&'a NodeRecord>,
+    ) -> Result<(), String> {
+        let n_labels = label_members.len();
+        for ((label, key), idx) in &self.indexes {
+            let Some(members) = label_members.get(label.0 as usize) else {
+                return Err(format!(
+                    "index on `{key}` has label symbol {} outside the {n_labels}-label table",
+                    label.0
+                ));
+            };
+            let mut entries = 0;
+            for (value, ids) in idx.partitions.iter().flat_map(|p| p.iter()) {
+                if !ids.windows(2).all(|w| w[0] < w[1]) {
+                    return Err(format!(
+                        "index on `{key}`: the bucket of {value:?} is not sorted and distinct"
+                    ));
+                }
+                let held = |id: &NodeId| {
+                    node(*id).is_some_and(|n| {
+                        n.labels.binary_search(label).is_ok()
+                            && n.props.get(key).is_some_and(|v| ValueKey::of(v) == *value)
+                    })
+                };
+                if let Some(id) = ids.iter().find(|id| !held(id)) {
+                    return Err(format!(
+                        "index on `{key}` names node {id} under {value:?}, but that node is \
+                         absent or lacks the label or the value"
+                    ));
+                }
+                entries += ids.len();
+            }
+            let keyed = members
+                .iter()
+                .filter(|&&id| node(id).is_some_and(|n| n.props.get(key).is_some()))
+                .count();
+            if entries != keyed {
+                return Err(format!(
+                    "index on `{key}` omits nodes that carry its label and key"
+                ));
+            }
+        }
+        Ok(())
     }
 
     // ---- maintenance hooks called by Graph ----

@@ -4,7 +4,7 @@
 //! schema has ~15 of each), so the store keys adjacency and label indexes by
 //! small integer symbols instead of strings.
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An interned symbol. The inner index is stable for the lifetime of the
@@ -13,7 +13,7 @@ use std::collections::HashMap;
 pub struct Sym(pub u32);
 
 /// A bidirectional string ↔ symbol table.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Serialize)]
 pub struct Interner {
     names: Vec<String>,
     #[serde(skip)]
@@ -67,15 +67,21 @@ impl Interner {
             .enumerate()
             .map(|(i, n)| (Sym(i as u32), n.as_str()))
     }
+}
 
-    /// Rebuilds the reverse lookup after deserialization (serde skips it).
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), Sym(i as u32)))
-            .collect();
+impl Deserialize for Interner {
+    /// Reads the name table and rebuilds the reverse lookup (serde skips
+    /// it), rejecting a name listed twice.
+    fn deserialize(c: &Content) -> Result<Self, serde::Error> {
+        let mut interner = Interner::new();
+        for name in Vec::<String>::deserialize(&c["names"])? {
+            if interner.get(&name).is_some() {
+                let msg = format!("symbol `{name}` is listed twice");
+                return Err(serde::Error::custom(msg));
+            }
+            interner.intern(&name);
+        }
+        Ok(interner)
     }
 }
 
@@ -109,9 +115,9 @@ mod tests {
         i.intern("AS");
         i.intern("Country");
         let json = serde_json::to_string(&i).unwrap();
-        let mut back: Interner = serde_json::from_str(&json).unwrap();
-        back.rebuild_lookup();
+        let back: Interner = serde_json::from_str(&json).unwrap();
         assert_eq!(back.get("Country"), Some(Sym(1)));
         assert_eq!(back.resolve(Sym(0)), "AS");
+        assert!(serde_json::from_str::<Interner>(r#"{"names":["AS","AS"]}"#).is_err());
     }
 }

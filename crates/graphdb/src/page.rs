@@ -251,26 +251,17 @@ impl<T: Serialize> Serialize for PagedVec<T> {
 }
 
 impl<T: Deserialize + Clone> Deserialize for PagedVec<T> {
-    /// Accepts both layouts: the paged map above, and the legacy flat
-    /// `[…]` slot array written by the pre-paged store. Either way the
-    /// slots are re-chunked to the current [`PAGE_SIZE`], so files
-    /// written with a different page size load fine too.
+    /// Reads the paged map above. The slots are re-chunked to the current
+    /// [`PAGE_SIZE`], so files written with a different page size load.
     fn deserialize(c: &Content) -> Result<Self, serde::Error> {
-        let slots: Vec<Option<T>> = match c {
-            Content::Seq(_) => Deserialize::deserialize(c)?,
-            Content::Map(m) => match serde::content_get(m, "pages") {
-                Some(Content::Seq(pages)) => {
-                    let mut slots = Vec::new();
-                    for page in pages {
-                        let mut chunk: Vec<Option<T>> = Deserialize::deserialize(page)?;
-                        slots.append(&mut chunk);
-                    }
-                    slots
-                }
-                _ => return Err(serde::Error::custom("paged layout missing `pages`")),
-            },
-            _ => return Err(serde::Error::custom("expected sequence or paged map")),
+        let Some(Content::Seq(pages)) = c.get("pages") else {
+            return Err(serde::Error::custom("expected a paged map with `pages`"));
         };
+        let mut slots = Vec::new();
+        for page in pages {
+            let mut chunk: Vec<Option<T>> = Deserialize::deserialize(page)?;
+            slots.append(&mut chunk);
+        }
         Ok(PagedVec::from_slots(slots))
     }
 }
@@ -378,22 +369,11 @@ impl LabelSet {
 }
 
 impl Serialize for LabelSet {
-    /// Serializes flat — a sorted id array, byte-identical to the
-    /// `BTreeSet<NodeId>` the pre-paged store wrote, so label membership
-    /// needs no format migration in either direction.
+    /// Serializes flat — a sorted id array. Loading goes through the
+    /// graph, which checks each id against the node table before it
+    /// builds the set.
     fn serialize(&self) -> Content {
         Content::Seq(self.iter().map(|id| id.serialize()).collect())
-    }
-}
-
-impl Deserialize for LabelSet {
-    fn deserialize(c: &Content) -> Result<Self, serde::Error> {
-        let ids: Vec<NodeId> = Deserialize::deserialize(c)?;
-        let mut set = LabelSet::new();
-        for id in ids {
-            set.insert(id);
-        }
-        Ok(set)
     }
 }
 
@@ -466,7 +446,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_pages_roundtrip_and_legacy_flat_loads() {
+    fn serde_pages_roundtrip_and_flat_layout_rejected() {
         let mut v: PagedVec<u64> = PagedVec::new();
         for i in 0..520 {
             v.push(i);
@@ -479,17 +459,9 @@ mod tests {
         assert_eq!(back.get(519), Some(&519));
         assert_eq!(back.serialize(), paged, "round-trip not canonical");
 
-        // Legacy layout: the flat slot array the pre-paged store wrote.
-        let flat = Content::Seq(
-            v.iter()
-                .map(|slot| match slot {
-                    Some(x) => x.serialize(),
-                    None => Content::Null,
-                })
-                .collect(),
-        );
-        let legacy = PagedVec::<u64>::deserialize(&flat).unwrap();
-        assert_eq!(legacy.serialize(), paged, "legacy load diverged");
+        // A flat slot array is not the paged layout.
+        let flat = Content::Seq(vec![Content::U64(0), Content::Null]);
+        assert!(PagedVec::<u64>::deserialize(&flat).is_err());
     }
 
     #[test]
@@ -532,8 +504,7 @@ mod tests {
             Content::Seq(items) => assert_eq!(items.len(), 2),
             other => panic!("expected flat sequence, got {other:?}"),
         }
-        let back = LabelSet::deserialize(&c).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.serialize(), c);
+        let ids: Vec<NodeId> = Deserialize::deserialize(&c).unwrap();
+        assert_eq!(ids, vec![NodeId(2), NodeId(900)]);
     }
 }

@@ -1,20 +1,20 @@
 //! Graph snapshots: JSON serialization to disk and back.
 //!
-//! Two on-disk formats live here:
+//! The one on-disk format is the **versioned envelope**
+//! ([`save_snapshot`] / [`load_snapshot`]): `{"version": v, "graph": {…}}`,
+//! the serde form of a [`GraphSnapshot`]. It keeps the store-assigned
+//! publish version, so a server restarted from a checkpoint resumes the
+//! version sequence instead of resetting to 1, and the graph's write
+//! epoch, so a reload cannot rewind the counter the query cache keys on.
 //!
-//! * the **bare graph** format ([`to_json`]/[`from_json`]) — the serde
-//!   representation of [`Graph`], including its write epoch, so a
-//!   save → load round-trip cannot rewind the counter the query cache
-//!   keys on;
-//! * the **versioned envelope** ([`snapshot_to_json`] /
-//!   [`snapshot_from_json`]) — `{"version": v, "graph": {…}}`, which
-//!   additionally preserves the [`GraphSnapshot`]'s store-assigned
-//!   publish version so a server restarted from disk resumes the version
-//!   sequence instead of resetting to 1.
+//! [`to_json`] / [`from_json`] are the in-memory serde of a bare
+//! [`Graph`] — the `graph` field of the envelope.
 //!
-//! Transient lookup tables are rebuilt on load. Snapshots make
-//! experiment runs reproducible without regenerating the synthetic
-//! dataset.
+//! A file on disk is untrusted input: loading rejects any payload whose
+//! cross-references dangle (relationship ids, endpoints, symbols, label
+//! members, index entries) with [`SnapshotError::Format`], so a corrupt
+//! checkpoint fails at load time instead of panicking a later query.
+//! Transient lookup tables are rebuilt on load.
 
 use crate::graph::Graph;
 use crate::store::GraphSnapshot;
@@ -110,18 +110,9 @@ pub fn to_json(graph: &Graph) -> Result<String, SnapshotError> {
     serde_json::to_string(graph).map_err(|e| SnapshotError::Format(e.to_string()))
 }
 
-/// Deserializes a graph from a JSON string.
+/// Deserializes and validates a graph from a JSON string.
 pub fn from_json(json: &str) -> Result<Graph, SnapshotError> {
-    let mut g: Graph =
-        serde_json::from_str(json).map_err(|e| SnapshotError::Format(e.to_string()))?;
-    g.after_deserialize();
-    Ok(g)
-}
-
-/// Writes a snapshot file atomically (temp file + fsync + rename): a
-/// crash mid-save can never tear an existing snapshot.
-pub fn save(graph: &Graph, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-    write_atomic(path.as_ref(), to_json(graph)?.as_bytes())
+    serde_json::from_str(json).map_err(|e| SnapshotError::Format(e.to_string()))
 }
 
 /// Reads the file as text, classifying invalid UTF-8 as *content*
@@ -131,14 +122,6 @@ fn read_text(path: &Path) -> Result<String, SnapshotError> {
     let bytes = fs::read(path).map_err(|e| SnapshotError::Io(e).at(path))?;
     String::from_utf8(bytes)
         .map_err(|e| SnapshotError::Format(format!("not valid utf-8: {e}")).at(path))
-}
-
-/// Reads a snapshot file. Errors (I/O or format) name the offending
-/// path; truncated or bit-flipped payloads come back as
-/// [`SnapshotError::Format`], never a panic.
-pub fn load(path: impl AsRef<Path>) -> Result<Graph, SnapshotError> {
-    let path = path.as_ref();
-    from_json(&read_text(path)?).map_err(|e| e.at(path))
 }
 
 /// The versioned envelope: the graph plus the publish version the store
@@ -158,11 +141,11 @@ pub fn snapshot_to_json(snapshot: &GraphSnapshot) -> Result<String, SnapshotErro
     serde_json::to_string(&env).map_err(|e| SnapshotError::Format(e.to_string()))
 }
 
-/// Deserializes a [`GraphSnapshot`] from the versioned envelope format.
+/// Deserializes and validates a [`GraphSnapshot`] from the versioned
+/// envelope format.
 pub fn snapshot_from_json(json: &str) -> Result<GraphSnapshot, SnapshotError> {
-    let mut env: VersionedEnvelope =
+    let env: VersionedEnvelope =
         serde_json::from_str(json).map_err(|e| SnapshotError::Format(e.to_string()))?;
-    env.graph.after_deserialize();
     Ok(GraphSnapshot::new(env.graph, env.version))
 }
 
@@ -243,23 +226,6 @@ mod tests {
         assert!(back.epoch() > saved_epoch);
     }
 
-    /// Pre-epoch snapshot files (no `epoch` field) still load, at epoch 0.
-    #[test]
-    fn legacy_snapshot_without_epoch_loads_at_zero() {
-        let g = {
-            let mut g = Graph::new();
-            g.add_node(["AS"], props!("asn" => 1i64));
-            g
-        };
-        let mut v: serde_json::Value = serde_json::from_str(&to_json(&g).unwrap()).unwrap();
-        if let serde_json::Value::Map(entries) = &mut v {
-            entries.retain(|(k, _)| k != "epoch");
-        }
-        let back = from_json(&v.to_string()).unwrap();
-        assert_eq!(back.epoch(), 0);
-        assert_eq!(back.node_count(), 1);
-    }
-
     /// The versioned envelope preserves both the publish version and the
     /// epoch across a round-trip.
     #[test]
@@ -304,92 +270,6 @@ mod tests {
         assert!(reloaded.epoch() < live_epoch);
         store.publish(reloaded);
         assert!(store.load().epoch() > live_epoch);
-    }
-
-    /// Rewrites a paged-layout graph JSON value into the legacy flat
-    /// layout the pre-paged store wrote: `nodes`/`rels` as one flat slot
-    /// array instead of `{"page_size", "pages"}`. Label members and index
-    /// entries already serialize legacy-identically.
-    fn flatten_to_legacy(v: &mut serde_json::Value) {
-        let serde_json::Value::Map(entries) = v else {
-            panic!("graph json is not a map");
-        };
-        for (k, val) in entries.iter_mut() {
-            if k != "nodes" && k != "rels" {
-                continue;
-            }
-            let Some(serde_json::Value::Seq(pages)) = val.get("pages").cloned() else {
-                panic!("`{k}` is not in the paged layout");
-            };
-            let mut flat = Vec::new();
-            for page in pages {
-                match page {
-                    serde_json::Value::Seq(slots) => flat.extend(slots),
-                    other => panic!("page is not an array: {other:?}"),
-                }
-            }
-            *val = serde_json::Value::Seq(flat);
-        }
-    }
-
-    /// Snapshot files written by the pre-paged store (flat `nodes`/`rels`
-    /// slot arrays) still load, and re-saving them produces the canonical
-    /// paged layout with identical content.
-    #[test]
-    fn legacy_flat_snapshot_loads_identically() {
-        let mut g = Graph::new();
-        for i in 0..300i64 {
-            g.add_node(["AS"], props!("asn" => i));
-        }
-        let a = crate::graph::NodeId(0);
-        let b = crate::graph::NodeId(1);
-        g.add_rel(a, "PEERS_WITH", b, props!("since" => 2020i64))
-            .unwrap();
-        g.create_index("AS", "asn");
-        g.remove_node(crate::graph::NodeId(2)).unwrap(); // a tombstone
-        let paged_json = to_json(&g).unwrap();
-
-        let mut v: serde_json::Value = serde_json::from_str(&paged_json).unwrap();
-        flatten_to_legacy(&mut v);
-        let legacy_json = v.to_string();
-        assert_ne!(legacy_json, paged_json);
-
-        let back = from_json(&legacy_json).unwrap();
-        assert_eq!(back.node_count(), g.node_count());
-        assert_eq!(back.rel_count(), 1);
-        assert_eq!(back.epoch(), g.epoch());
-        assert!(back.node(crate::graph::NodeId(2)).is_none());
-        assert_eq!(
-            back.index_lookup("AS", "asn", &Value::Int(250)),
-            Some(vec![crate::graph::NodeId(250)])
-        );
-        assert_eq!(
-            to_json(&back).unwrap(),
-            paged_json,
-            "legacy load re-saves differently from the paged original"
-        );
-    }
-
-    /// The versioned envelope path also accepts legacy flat payloads.
-    #[test]
-    fn legacy_flat_versioned_envelope_loads() {
-        let mut g = Graph::new();
-        g.add_node(["AS"], props!("asn" => 2497i64));
-        let snap = crate::store::GraphSnapshot::new(g, 9);
-        let mut v: serde_json::Value =
-            serde_json::from_str(&snapshot_to_json(&snap).unwrap()).unwrap();
-        let serde_json::Value::Map(entries) = &mut v else {
-            panic!("envelope is not a map");
-        };
-        let graph_v = entries
-            .iter_mut()
-            .find(|(k, _)| k == "graph")
-            .map(|(_, v)| v)
-            .unwrap();
-        flatten_to_legacy(graph_v);
-        let back = snapshot_from_json(&v.to_string()).unwrap();
-        assert_eq!(back.version(), 9);
-        assert_eq!(back.node_count(), 1);
     }
 
     /// A paged snapshot reloads byte-identically: save → load → save is a
@@ -543,18 +423,13 @@ mod tests {
     }
 
     /// A structurally valid JSON value that is not a snapshot envelope is
-    /// a `Format` error too (e.g. the bare-graph format fed to the
-    /// envelope loader).
+    /// a `Format` error too.
     #[test]
     fn wrong_shape_is_a_format_error_with_path() {
         let dir = fresh_dir("shape");
         let path = dir.join("weird.json");
         std::fs::write(&path, "[1, 2, 3]").unwrap();
         match load_snapshot(&path) {
-            Err(SnapshotError::Format(msg)) => assert!(msg.contains("weird.json")),
-            other => panic!("expected format error, got {other:?}"),
-        }
-        match load(&path) {
             Err(SnapshotError::Format(msg)) => assert!(msg.contains("weird.json")),
             other => panic!("expected format error, got {other:?}"),
         }
@@ -573,16 +448,166 @@ mod tests {
         }
     }
 
-    #[test]
-    fn file_roundtrip() {
+    /// Writes a checkpoint of a 1-node `AS` graph with `edits` applied to
+    /// its graph JSON, then loads it through [`load_snapshot`].
+    fn load_edited_one_node(
+        name: &str,
+        edits: &[(&str, &str)],
+    ) -> Result<GraphSnapshot, SnapshotError> {
         let mut g = Graph::new();
         g.add_node(["AS"], props!("asn" => 1i64));
-        let dir = std::env::temp_dir().join("iyp_graphdb_snapshot_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.json");
-        save(&g, &path).unwrap();
-        let back = load(&path).unwrap();
-        assert_eq!(back.node_count(), 1);
-        std::fs::remove_file(path).ok();
+        let graph_json = edits.iter().fold(to_json(&g).unwrap(), |json, (from, to)| {
+            replace_once(json, from, to)
+        });
+        let dir = fresh_dir(name);
+        let path = dir.join("checkpoint.json");
+        std::fs::write(&path, format!(r#"{{"version":1,"graph":{graph_json}}}"#)).unwrap();
+        let result = load_snapshot(&path);
+        std::fs::remove_dir_all(&dir).ok();
+        result
+    }
+
+    /// A one-field edit: `from` must occur exactly once in `json`.
+    fn replace_once(json: String, from: &str, to: &str) -> String {
+        assert_eq!(json.matches(from).count(), 1, "`{from}` in {json}");
+        json.replace(from, to)
+    }
+
+    #[track_caller]
+    fn assert_format_error(result: Result<GraphSnapshot, SnapshotError>, needle: &str) {
+        match result {
+            Err(SnapshotError::Format(msg)) => {
+                assert!(msg.contains("checkpoint.json"), "no path in: {msg}");
+                assert!(msg.contains(needle), "`{needle}` not in: {msg}");
+            }
+            Ok(_) => panic!("a corrupt checkpoint loaded"),
+            Err(other) => panic!("expected a format error, got {other}"),
+        }
+    }
+
+    /// Regression: a label member id far past the node table used to
+    /// grow the label's shard table toward it and abort the process on
+    /// a failed allocation inside the load.
+    #[test]
+    fn label_member_past_the_node_table_is_a_format_error() {
+        let edit = (
+            r#""label_members":[[0]]"#,
+            r#""label_members":[[4000000000000]]"#,
+        );
+        let result = load_edited_one_node("member", &[edit]);
+        assert_format_error(result, "node #4000000000000");
+    }
+
+    /// Regression: an adjacency entry naming no relationship used to load
+    /// and then panic the first expansion from the node.
+    #[test]
+    fn adjacency_naming_no_relationship_is_a_format_error() {
+        let result = load_edited_one_node("adjacency", &[(r#""out":[]"#, r#""out":[7]"#)]);
+        assert_format_error(result, "relationship r7");
+    }
+
+    /// Regression: a node label symbol outside the label table used to
+    /// load and then panic `labels(a)`.
+    #[test]
+    fn label_symbol_outside_the_interner_is_a_format_error() {
+        let result = load_edited_one_node("label_sym", &[(r#""labels":[0]"#, r#""labels":[5]"#)]);
+        assert_format_error(result, "label symbol 5");
+    }
+
+    /// The pre-paged layout (`nodes` as one flat slot array) is not a
+    /// checkpoint format.
+    #[test]
+    fn flat_node_table_is_a_format_error() {
+        let edits = [
+            (r#""nodes":{"page_size":16,"pages":[["#, r#""nodes":["#),
+            (r#"]]},"rels""#, r#"],"rels""#),
+        ];
+        assert_format_error(load_edited_one_node("flat", &edits), "paged map");
+    }
+
+    /// A graph without its write epoch is not a checkpoint: loading it at
+    /// epoch 0 could rewind the counter the query cache keys on.
+    #[test]
+    fn epochless_graph_is_a_format_error() {
+        let result = load_edited_one_node("epochless", &[(r#","epoch":1}"#, "}")]);
+        assert_format_error(result, "missing field `epoch`");
+    }
+
+    /// Every other kind of dangling or stale cross-reference, one edit each, on
+    /// the fixture graph (AS -[:COUNTRY]-> Country, `AS.asn` indexed).
+    #[test]
+    fn each_dangling_reference_kind_is_a_format_error() {
+        let cases: [(&str, &str, &str); 9] = [
+            (r#""src":0"#, r#""src":9"#, "endpoint #9"),
+            (r#""ty":0"#, r#""ty":4"#, "type symbol 4"),
+            (r#""inc":[0]"#, r#""inc":[]"#, "missing from its endpoints"),
+            (
+                r#"[{"Int":2497},[0]]"#,
+                r#"[{"Int":2497},[2]]"#,
+                "names node #2",
+            ),
+            (r#"[[0,"asn"]"#, r#"[[8,"asn"]"#, "label symbol 8"),
+            (r#"[[0,"asn"]"#, r#"[[1,"asn"]"#, "names node #0 under"),
+            (
+                r#"[{"Int":1},[]],[{"Int":2497},[0]]"#,
+                r#"[{"Int":1},[0]],[{"Int":2497},[]]"#,
+                "names node #0 under Int(1)",
+            ),
+            (
+                r#"[{"Int":2497},[0]]"#,
+                r#"[{"Int":2497},[]]"#,
+                "index on `asn` omits",
+            ),
+            (
+                r#""label_members":[[0],[1]]"#,
+                r#""label_members":[[0],[]]"#,
+                "omits",
+            ),
+        ];
+        let fixture = std::fs::read_to_string(fixture_path()).unwrap();
+        let dir = fresh_dir("dangling");
+        let path = dir.join("checkpoint.json");
+        for (from, to, needle) in cases {
+            std::fs::write(&path, replace_once(fixture.clone(), from, to)).unwrap();
+            assert_format_error(load_snapshot(&path), needle);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn fixture_path() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_small.json")
+    }
+
+    /// A checkpoint committed from the store as it was before load-time
+    /// validation existed (an AS with a COUNTRY edge, a deleted node, an
+    /// `AS.asn` index that kept an emptied key) still loads, with the
+    /// same version, epoch, adjacency and index lookups, and re-saves
+    /// byte-identically.
+    #[test]
+    fn committed_checkpoint_fixture_loads_unchanged() {
+        let path = fixture_path();
+        let snap = load_snapshot(&path).unwrap();
+        assert_eq!(snap.version(), 3);
+        assert_eq!(snap.epoch(), 6);
+        assert_eq!((snap.node_count(), snap.rel_count()), (2, 1));
+        let (iij, jp) = (crate::graph::NodeId(0), crate::graph::NodeId(1));
+        assert!(snap.node(crate::graph::NodeId(2)).is_none());
+        assert_eq!(
+            snap.index_lookup("AS", "asn", &Value::Int(2497)),
+            Some(vec![iij])
+        );
+        assert_eq!(snap.index_lookup("AS", "asn", &Value::Int(1)), Some(vec![]));
+        assert_eq!(
+            snap.neighbors(iij, Direction::Outgoing, Some(&["COUNTRY"])),
+            vec![(crate::graph::RelId(0), jp)]
+        );
+        assert_eq!(
+            snap.nodes_with_label("Country").collect::<Vec<_>>(),
+            vec![jp]
+        );
+        assert_eq!(
+            snapshot_to_json(&snap).unwrap(),
+            std::fs::read_to_string(&path).unwrap()
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! existing ASes change their announced name. The batch is a pure
 //! function of `(graph schema state, seed, n_new_as)`, so replaying the
 //! same batch against equal graphs yields equal graphs — the property
-//! the snapshot stress tests and the `ingest_swap` bench rely on.
+//! the snapshot stress tests and the `cow_ingest` bench rely on.
 
 use crate::schema::{labels, rels};
 use iyp_graphdb::{props, DeltaBatch, Graph, NodeId, Props, Value};

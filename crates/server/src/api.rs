@@ -490,7 +490,6 @@ fn handle_metrics(state: &AppState, chat: &ChatIyp, handle: &RetrievalHandle) ->
         ("misses", cs.misses),
         ("evictions", cs.evictions),
         ("invalidations", cs.invalidations),
-        ("expirations", cs.expirations),
     ] {
         writeln!(out, "chatiyp_cache_events_total{{kind=\"{kind}\"}} {v}").expect("write");
     }
@@ -1203,7 +1202,6 @@ mod tests {
             [
                 "capacity",
                 "evictions",
-                "expirations",
                 "hits",
                 "invalidations",
                 "len",
