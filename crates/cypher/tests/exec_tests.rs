@@ -528,6 +528,27 @@ fn detach_delete_removes_node_and_edges() {
     assert!(err.message.contains("DETACH"));
 }
 
+/// A deleted node's binding has no record left: `count` sees it as null,
+/// exactly as the value it would project (`RETURN t` gives null).
+#[test]
+fn count_of_a_deleted_node_counts_it_as_null() {
+    let mut g = mini_iyp();
+    for k in 0..3i64 {
+        update(&mut g, &format!("CREATE (t:Tmp {{k: {k}}})")).unwrap();
+    }
+    let r = update(&mut g, "MATCH (t:Tmp) DETACH DELETE t RETURN count(t)").unwrap();
+    assert_eq!(r.single_value(), Some(&Value::Int(0)));
+    update(&mut g, "CREATE (t:Tmp {k: 9})").unwrap();
+    let r = update(
+        &mut g,
+        "MATCH (t:Tmp) DETACH DELETE t RETURN count(DISTINCT t), count(*)",
+    )
+    .unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Int(0), Value::Int(1)]]);
+    let r = query(&g, "MATCH (t:Tmp) RETURN count(t)").unwrap();
+    assert_eq!(r.single_value(), Some(&Value::Int(0)));
+}
+
 #[test]
 fn read_only_execution_rejects_writes() {
     let g = mini_iyp();

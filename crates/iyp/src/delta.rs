@@ -82,6 +82,28 @@ pub fn growth_batch(graph: &Graph, seed: u64, n_new_as: usize) -> DeltaBatch {
     batch
 }
 
+/// Most new ASes one [`grow_to`] batch adds.
+pub const GROWTH_BATCH_MAX_AS: usize = 1000;
+
+/// Grows `graph` in place with [`growth_batch`]es of at most
+/// [`GROWTH_BATCH_MAX_AS`] new ASes until it holds at least
+/// `target_nodes` nodes. Batch `k` is drawn with seed `seed + k`, so the
+/// result is a pure function of the starting graph, the target and the
+/// seed: the scaled graphs of the executor tests and benches.
+pub fn grow_to(graph: &mut Graph, target_nodes: usize, seed: u64) {
+    let mut k = 0;
+    while graph.node_count() < target_nodes {
+        // Each new AS contributes an AS node and a Name node.
+        let n_as = (target_nodes - graph.node_count())
+            .div_ceil(2)
+            .min(GROWTH_BATCH_MAX_AS);
+        growth_batch(graph, seed + k, n_as)
+            .apply(graph)
+            .expect("a growth batch drawn from the graph applies to it");
+        k += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

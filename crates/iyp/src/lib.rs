@@ -34,6 +34,6 @@ pub mod generator;
 pub mod schema;
 pub mod topology;
 
-pub use delta::{growth_batch, max_asn};
+pub use delta::{grow_to, growth_batch, max_asn, GROWTH_BATCH_MAX_AS};
 pub use describe::{describe_all, describe_delta, describe_node, DocDelta, NodeDoc};
 pub use generator::{generate, DatasetManifest, IypConfig, IypDataset};
