@@ -525,9 +525,9 @@ impl ChatIyp {
     /// the `/cypher` endpoint's entry. An injected execution outage
     /// returns [`CypherExecError::Unavailable`] (serve `503` +
     /// `Retry-After`); engine errors come back as
-    /// [`CypherExecError::Query`] (serve `400`). With the layer
-    /// disabled or no fault plan configured, this is exactly a cache
-    /// execution.
+    /// [`CypherExecError::Query`] (serve `400`); an injected
+    /// [`FaultPoint::Panic`] panics. With the layer disabled or no fault
+    /// plan configured, this is exactly a cache execution.
     pub fn execute_cypher_with_limits(
         &self,
         snap: &GraphSnapshot,
@@ -537,6 +537,9 @@ impl ChatIyp {
         let res = &self.config.resilience;
         if res.enabled {
             if let Some(plan) = &res.faults {
+                if let Err(fault) = plan.check(FaultPoint::Panic) {
+                    panic!("{fault}");
+                }
                 if let Err(fault) = plan.check(FaultPoint::Exec) {
                     return Err(CypherExecError::Unavailable(fault));
                 }

@@ -42,16 +42,22 @@ pub enum FaultPoint {
     /// An injected fault here fails the ingest *before* anything is
     /// published — the durable-write-or-nothing contract.
     Wal,
+    /// Checked beside [`FaultPoint::Exec`] on the `/cypher` path, but an
+    /// injected fault here *panics* the handling thread instead of
+    /// failing the call: the stand-in for an engine bug, which the
+    /// server must contain to the one request.
+    Panic,
 }
 
 impl FaultPoint {
     /// Every fault point, in counter order.
-    pub const ALL: [FaultPoint; 5] = [
+    pub const ALL: [FaultPoint; 6] = [
         FaultPoint::LlmTranslate,
         FaultPoint::LlmGenerate,
         FaultPoint::Embed,
         FaultPoint::Exec,
         FaultPoint::Wal,
+        FaultPoint::Panic,
     ];
 
     /// Stable label used in error text, metrics, and docs.
@@ -62,6 +68,7 @@ impl FaultPoint {
             FaultPoint::Embed => "embed",
             FaultPoint::Exec => "exec",
             FaultPoint::Wal => "wal",
+            FaultPoint::Panic => "panic",
         }
     }
 
@@ -72,6 +79,7 @@ impl FaultPoint {
             FaultPoint::Embed => 2,
             FaultPoint::Exec => 3,
             FaultPoint::Wal => 4,
+            FaultPoint::Panic => 5,
         }
     }
 }
@@ -150,8 +158,8 @@ impl std::error::Error for FaultError {}
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     seed: u64,
-    rules: [Option<FaultRule>; 5],
-    calls: [AtomicU64; 5],
+    rules: [Option<FaultRule>; 6],
+    calls: [AtomicU64; 6],
 }
 
 impl FaultPlan {

@@ -837,6 +837,47 @@ pub(crate) struct CMatch {
     pub env_before: Vec<String>,
     /// `WHERE`, compiled against the extended environment.
     pub where_c: Option<CExpr>,
+    /// Set when only a sorted prefix of this clause's rows can reach the
+    /// result (see [`order_hint`]).
+    pub order: Option<COrder>,
+}
+
+/// How a `MATCH`'s rows are consumed when the projection right after it
+/// keeps only the first `SKIP + LIMIT` of them in `ORDER BY var.key`
+/// order: the planner may then walk the key's index and stop early.
+#[derive(Debug, Clone)]
+pub(crate) struct COrder {
+    pub by: crate::plan::OrderBy,
+    /// `SKIP` and `LIMIT`, each a constant or a parameter.
+    pub skip: Option<CExpr>,
+    pub limit: CExpr,
+    /// Parameters the `WHERE`, items, sort key, `SKIP` and `LIMIT` read.
+    /// A missing one would fail on some row, so it disables the walk.
+    pub params: Vec<String>,
+}
+
+impl COrder {
+    /// How many rows the walk must produce, `SKIP + LIMIT`: `None` (no
+    /// walk) when a parameter is missing or a count is not a
+    /// non-negative integer, which the full path reports.
+    pub(crate) fn stop(&self, params: &Params) -> Option<usize> {
+        if !self.params.iter().all(|p| params.contains_key(p)) {
+            return None;
+        }
+        let count = |e: &CExpr| {
+            let v = match e {
+                CExpr::Const(v) => v,
+                CExpr::Param(name) => params.get(name)?,
+                _ => return None,
+            };
+            v.as_int().and_then(|i| usize::try_from(i).ok())
+        };
+        let skip = match &self.skip {
+            Some(e) => count(e)?,
+            None => 0,
+        };
+        Some(skip.saturating_add(count(&self.limit)?))
+    }
 }
 
 /// A compiled `UNWIND`.
@@ -1029,6 +1070,7 @@ fn compile_inner(q: &Query) -> CompiledQuery {
                         .where_clause
                         .as_ref()
                         .map(|w| compile_scoped(&env, &mut Vec::new(), w)),
+                    order: None,
                 })
             }
             Clause::Unwind { expr, var } => {
@@ -1040,8 +1082,21 @@ fn compile_inner(q: &Query) -> CompiledQuery {
                 env.push(var.clone());
                 CompiledOp::Unwind(op)
             }
-            Clause::With(p) => CompiledOp::Project(compile_project(&mut env, p, true)),
-            Clause::Return(p) => CompiledOp::Return(compile_project(&mut env, p, is_last)),
+            Clause::With(p) | Clause::Return(p) => {
+                let env_in = env.clone();
+                let is_with = matches!(clause, Clause::With(_));
+                let proj = compile_project(&mut env, p, is_with || is_last);
+                if let [CompiledOp::Match(m)] =
+                    segments.last_mut().expect("nonempty").as_mut_slice()
+                {
+                    m.order = order_hint(m, &env_in, &proj);
+                }
+                if is_with {
+                    CompiledOp::Project(proj)
+                } else {
+                    CompiledOp::Return(proj)
+                }
+            }
             Clause::Create { patterns } => CompiledOp::Create(compile_create(&mut env, patterns)),
             Clause::Merge { node } => {
                 let env_before = env.clone();
@@ -1084,6 +1139,99 @@ fn compile_inner(q: &Query) -> CompiledQuery {
     CompiledQuery {
         segments,
         keep_duplicates,
+    }
+}
+
+/// The [`COrder`] of a segment's first clause `m`, given the projection
+/// `p` that directly follows it (`env` is the environment between them).
+///
+/// Requires a non-optional `MATCH` of one bare `(var:Label)` pattern, a
+/// projection without aggregation, `DISTINCT` or `WHERE` that sorts by
+/// `var.key` alone (written out, or through an alias or a renamed `var`)
+/// and has a constant or parameter `LIMIT`. The walk evaluates only the
+/// rows it keeps, so the `MATCH`'s `WHERE` and every item must be unable
+/// to fail on a row it skips: see [`infallible`].
+fn order_hint(m: &CMatch, env: &[String], p: &CProject) -> Option<COrder> {
+    let part = match m.clause.patterns.as_slice() {
+        [part] if !m.clause.optional => part,
+        _ => return None,
+    };
+    let node = &part.start;
+    let simple = part.hops.is_empty()
+        && part.path_var.is_none()
+        && !part.shortest
+        && node.labels.len() == 1
+        && node.props.is_empty();
+    let var = node.var.as_ref()?;
+    if !simple || p.empty || p.use_agg || p.distinct || p.where_agg || p.where_c.is_some() {
+        return None;
+    }
+    let var_slot = slot_of(env, var)?;
+    let [(sort_key, ascending)] = p.order_c.as_slice() else {
+        return None;
+    };
+    // The sort key is evaluated in the post-projection row: the items,
+    // then the evaluation slots the items do not shadow.
+    let is_var = |post_slot: usize| match p.rewritten.get(post_slot) {
+        Some(item) => *item == CExpr::Slot(var_slot),
+        None => p.appended.get(post_slot - p.rewritten.len()) == Some(&var_slot),
+    };
+    let key = match sort_key {
+        CExpr::Prop(base, key) if matches!(**base, CExpr::Slot(i) if is_var(i)) => key,
+        CExpr::Slot(i) => match p.rewritten.get(*i)? {
+            CExpr::Prop(base, key) if **base == CExpr::Slot(var_slot) => key,
+            _ => return None,
+        },
+        _ => return None,
+    };
+    let count_expr = |e: &CExpr| matches!(e, CExpr::Const(_) | CExpr::Param(_));
+    let limit = p.limit_c.clone().filter(count_expr)?;
+    if !p.skip_c.as_ref().is_none_or(count_expr) {
+        return None;
+    }
+    let mut params = Vec::new();
+    let checked = m
+        .where_c
+        .iter()
+        .chain(&p.rewritten)
+        .chain([sort_key, &limit]);
+    for e in checked.chain(&p.skip_c) {
+        if !infallible(e, &mut params) {
+            return None;
+        }
+    }
+    Some(COrder {
+        by: crate::plan::OrderBy {
+            var: var.clone(),
+            key: key.clone(),
+            descending: !ascending,
+        },
+        skip: p.skip_c.clone(),
+        limit,
+        params,
+    })
+}
+
+/// Can evaluating `e` never fail, given its parameters (collected into
+/// `params`) are present? True for constants, bound slots, parameters,
+/// property reads, null tests, comparisons, string predicates and boolean
+/// connectives over such expressions; everything else (arithmetic,
+/// functions, `NOT` of a non-boolean, unbound names, …) may fail.
+fn infallible(e: &CExpr, params: &mut Vec<String>) -> bool {
+    use BinOp::*;
+    match e {
+        CExpr::Const(_) | CExpr::Slot(_) => true,
+        CExpr::Param(name) => {
+            params.push(name.clone());
+            true
+        }
+        CExpr::Prop(b, _) | CExpr::IsNull(b, _) => infallible(b, params),
+        CExpr::Bin(
+            Eq | Neq | Lt | Le | Gt | Ge | StartsWith | EndsWith | Contains | And | Or | Xor,
+            a,
+            b,
+        ) => infallible(a, params) && infallible(b, params),
+        _ => false,
     }
 }
 

@@ -2,9 +2,11 @@
 //! at compile time) and the per-group accumulators (`count`, `sum`, `avg`,
 //! `min`, `max`, `collect`, `stdev`, `percentileCont`).
 
+use super::project::entry_key;
 use crate::ast::{is_aggregate_fn, Expr};
 use crate::error::CypherError;
-use iyp_graphdb::{Value, ValueKey};
+use crate::eval::Entry;
+use iyp_graphdb::{Graph, Value, ValueKey};
 use std::collections::HashSet;
 
 /// One aggregate call instance found in a projection.
@@ -119,6 +121,31 @@ impl AggAccum {
             }
         }
         self.state.update(value)
+    }
+
+    /// `count(arg)` of an unconverted entry. A node or relationship
+    /// counts by identity (`DISTINCT` keys on its id) unless its record
+    /// is gone, which makes it null, as its value would be; paths and
+    /// plain values go through [`AggAccum::update`].
+    pub fn count_entry(&mut self, graph: &Graph, e: &Entry) -> Result<(), CypherError> {
+        let live = match e {
+            Entry::Node(id) => graph.node(*id).is_some(),
+            Entry::Rel(id) => graph.rel(*id).is_some(),
+            Entry::Path(..) | Entry::Val(_) => return self.update(Some(e.to_value(graph))),
+        };
+        if !live {
+            return Ok(());
+        }
+        if let Some(seen) = self.seen.as_mut() {
+            if !seen.insert(entry_key(e)) {
+                return Ok(());
+            }
+        }
+        match &mut self.state {
+            AggState::Count { n } => *n += 1,
+            _ => unreachable!("count_entry is only called for count()"),
+        }
+        Ok(())
     }
 
     pub fn finish(self) -> Value {

@@ -1,9 +1,14 @@
 //! The match operator (`MATCH` / `OPTIONAL MATCH`): anchors each pattern
 //! part with the access path the planner chose (bound variable, index
-//! seek, range seek, label scan, all-nodes scan), expands relationship
-//! steps depth-first — variable-length steps and `shortestPath`
-//! included — and applies the clause's `WHERE`, with the
+//! seek, range seek, ordered index walk, label scan, all-nodes scan),
+//! expands relationship steps depth-first — variable-length steps and
+//! `shortestPath` included — and applies the clause's `WHERE`, with the
 //! `OPTIONAL MATCH` null-row fallback.
+//!
+//! An ordered index walk feeds candidates in the order the next
+//! projection sorts by and stops once `SKIP + LIMIT` rows passed the
+//! `WHERE`; every candidate still goes through the same per-candidate
+//! path as a label scan's.
 //!
 //! Pattern plans are lowered to slot/symbol form once per apply, never per
 //! row; neighbor lists are reused through scratch buffers, bindings are
@@ -175,7 +180,11 @@ fn lower_part(graph: &Graph, env: &Env, p: &PartPlan) -> LPart {
             lo: lo.as_ref().map(|(e, inc)| (lower_expr(env, e), *inc)),
             hi: hi.as_ref().map(|(e, inc)| (lower_expr(env, e), *inc)),
         },
-        Anchor::LabelScan(label) => LAnchor::LabelScan(label.clone()),
+        // An ordered walk is driven by `CMatch::apply`, which stops it
+        // early; as a plain candidate source it is its label's scan.
+        Anchor::LabelScan(label) | Anchor::OrderedIndex { label, .. } => {
+            LAnchor::LabelScan(label.clone())
+        }
         Anchor::AllNodes => LAnchor::AllNodes,
     };
     LPart {
@@ -383,7 +392,9 @@ impl CMatch {
         }
         let clause = &self.clause;
         let mut bound: Vec<String> = env.names.clone();
-        let plans = plan::plan_match(cx.graph(), clause, &mut bound);
+        let stop = self.order.as_ref().and_then(|o| o.stop(cx.params));
+        let order = self.order.as_ref().filter(|_| stop.is_some());
+        let plans = plan::plan_match(cx.graph(), clause, &mut bound, order.map(|o| &o.by));
 
         let mut new_slots: HashSet<usize> = HashSet::new();
         for part in &clause.patterns {
@@ -423,6 +434,35 @@ impl CMatch {
             optional: clause.optional,
             width,
         };
+        // Ordered index walk (planned only for a segment's first clause,
+        // whose input is the single empty row): sequential, so it can stop
+        // at the first `stop` rows in sort order.
+        if let (
+            Some(stop),
+            Some(Anchor::OrderedIndex {
+                label,
+                key,
+                descending,
+            }),
+        ) = (stop, plans.first().map(|p| &p.anchor))
+        {
+            if let [base] = rows.as_mut_slice() {
+                let mut base = std::mem::take(base);
+                base.resize(width, Entry::Val(Value::Null));
+                let wctx = WorkCtx::new(cx.limits, cx.max_rows);
+                let mut ws = Workspace::default();
+                let mut out = Vec::new();
+                let mut walk = graph
+                    .index_walk(label, key, *descending)
+                    .ok_or_else(|| CypherError::plan("internal: ordered index missing"))?;
+                while out.len() < stop {
+                    let Some(cand) = walk.next() else { break };
+                    run.process_candidate(&wctx, &mut ws, &base, cand, &mut out)?;
+                }
+                return Ok(out);
+            }
+        }
+
         let par = cx.limits.parallelism.max(1);
 
         // Morsel-parallel fan-out over input rows.

@@ -13,9 +13,9 @@ use super::aggregate::AggAccum;
 use super::context::ExecContext;
 use super::env_mismatch;
 
-/// A stable identity key for a projected entry, used for DISTINCT and
-/// aggregation grouping.
-fn entry_key(e: &Entry) -> ValueKey {
+/// A stable identity key for a projected entry, used for DISTINCT,
+/// aggregation grouping and `count(DISTINCT entity)`.
+pub(super) fn entry_key(e: &Entry) -> ValueKey {
     match e {
         Entry::Node(id) => ValueKey::List(vec![
             ValueKey::Str("#node".into()),
@@ -186,11 +186,16 @@ fn aggregate_rows(
             }
         };
         for (si, spec) in p.specs.iter().enumerate() {
-            let val = match &spec.arg {
-                None => None,
-                Some(e) => Some(cev.eval_c_value(e, row)?),
-            };
-            group_data[gi].1[si].update(val)?;
+            let acc = &mut group_data[gi].1[si];
+            match &spec.arg {
+                None => acc.update(None)?,
+                // `count` needs only null-ness and identity: never build
+                // an entity's property map for it.
+                Some(e) if spec.name == "count" => {
+                    acc.count_entry(cev.graph, &cev.eval_c(e, row)?)?
+                }
+                Some(e) => acc.update(Some(cev.eval_c_value(e, row)?))?,
+            }
         }
     }
     // Global aggregation over zero rows still yields one group.

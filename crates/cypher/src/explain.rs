@@ -4,8 +4,7 @@
 //! anchor) and the expansion order — without executing anything. `PROFILE`
 //! prints the same per-operator plan text.
 
-use crate::ast::MatchClause;
-use crate::compile::{compile, CompiledOp};
+use crate::compile::{compile, CExpr, CMatch, COrder, CompiledOp};
 use crate::error::CypherError;
 use crate::parser::parse_statement;
 use crate::plan::{self, Anchor};
@@ -48,11 +47,18 @@ impl CompiledOp {
         // Other clauses print their leading keyword (`DETACH` for
         // `DETACH DELETE`).
         let keyword = match self {
-            CompiledOp::Match(m) => {
-                return explain_match(graph, &m.clause, self.name(), bound, idx, out)
+            CompiledOp::Match(m) => return explain_match(graph, m, self.name(), bound, idx, out),
+            // Later seeks may key on the unwound or projected variables.
+            CompiledOp::Unwind(u) => {
+                if !bound.contains(&u.var) {
+                    bound.push(u.var.clone());
+                }
+                "UNWIND"
             }
-            CompiledOp::Unwind(_) => "UNWIND",
-            CompiledOp::Project(_) => "WITH",
+            CompiledOp::Project(p) => {
+                bound.clone_from(&p.out_names);
+                "WITH"
+            }
             CompiledOp::Return(_) => "RETURN",
             CompiledOp::Create(_) => "CREATE",
             CompiledOp::Merge(_) => "MERGE",
@@ -66,14 +72,15 @@ impl CompiledOp {
 
 fn explain_match(
     graph: &Graph,
-    m: &MatchClause,
+    cm: &CMatch,
     name: &str,
     bound: &mut Vec<String>,
     idx: usize,
     out: &mut String,
 ) {
     writeln!(out, "{idx:>2}. {name}").expect("write to string");
-    let plans = plan::plan_match(graph, m, bound);
+    let m = &cm.clause;
+    let plans = plan::plan_match(graph, m, bound, cm.order.as_ref().map(|o| &o.by));
     for (j, plan) in plans.iter().enumerate() {
         let anchor = match &plan.anchor {
             Anchor::Bound(v) => format!("BoundVariable({v})"),
@@ -99,6 +106,15 @@ fn explain_match(
                 }
                 format!("RangeSeek(:{label}.{key} {})", bounds.join(" and "))
             }
+            Anchor::OrderedIndex {
+                label,
+                key,
+                descending,
+            } => format!(
+                "OrderedIndex(:{label}.{key} {}, stop after {})",
+                if *descending { "DESC" } else { "ASC" },
+                cm.order.as_ref().map_or_else(String::new, stop_text)
+            ),
             Anchor::LabelScan(label) => {
                 format!("LabelScan(:{label}, ~{} nodes)", graph.label_count(label))
             }
@@ -144,6 +160,34 @@ fn explain_match(
     if m.where_clause.is_some() {
         writeln!(out, "      filter: WHERE …").expect("write to string");
     }
+}
+
+/// `SKIP + LIMIT` as written: their sum when both are integer literals,
+/// otherwise e.g. `5 + $n`.
+fn stop_text(o: &COrder) -> String {
+    let terms: Vec<&CExpr> = o.skip.iter().chain([&o.limit]).collect();
+    let ints: Option<Vec<i64>> = terms
+        .iter()
+        .map(|e| match e {
+            CExpr::Const(v) => v.as_int(),
+            _ => None,
+        })
+        .collect();
+    if let Some(ints) = ints {
+        return ints
+            .iter()
+            .fold(0i64, |a, b| a.saturating_add(*b))
+            .to_string();
+    }
+    let text: Vec<String> = terms
+        .iter()
+        .map(|e| match e {
+            CExpr::Param(name) => format!("${name}"),
+            CExpr::Const(v) => v.to_string(),
+            _ => "?".to_string(),
+        })
+        .collect();
+    text.join(" + ")
 }
 
 #[cfg(test)]

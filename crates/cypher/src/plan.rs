@@ -6,6 +6,13 @@
 //! property seek, which beats a label scan, which beats a full node scan.
 //! If the right end wins, the chain is reversed (flipping every hop's
 //! direction) so the executor always expands left to right.
+//!
+//! A seek's key may be a literal, a parameter, or a variable (or its
+//! property) bound before the part being planned. When the compiler
+//! proves that a lone `(a:L)` pattern feeds an `ORDER BY a.k … LIMIT`
+//! that discards all but a prefix of its rows ([`OrderBy`]), a label scan
+//! becomes an [`Anchor::OrderedIndex`] walk, provided the index's key
+//! order is the `ORDER BY` order for every member of `L`.
 
 use crate::ast::{Expr, MatchClause, NodePattern, PatternPart, RelDir, RelPattern};
 use iyp_graphdb::Graph;
@@ -21,7 +28,9 @@ pub enum Anchor {
         label: String,
         /// Indexed property key.
         key: String,
-        /// Equality expression (literal or parameter).
+        /// Equality expression: a literal, a parameter, or a variable
+        /// bound before this part (or a property of one), evaluated
+        /// against each incoming row.
         expr: Expr,
     },
     /// Range scan `lo <(=) label.key <(=) hi` through an ordered index.
@@ -35,10 +44,37 @@ pub enum Anchor {
         /// Upper bound `(expr, inclusive)`, if any.
         hi: Option<(Expr, bool)>,
     },
+    /// Walk the `(label, key)` index in key order and stop once the
+    /// `ORDER BY … LIMIT` that follows has all the rows it keeps (see
+    /// [`OrderBy`]). Chosen in place of a label scan only when the index
+    /// holds every node of `label` and its key order is the value order
+    /// ([`iyp_graphdb::IndexKeyStats::orders_like_values`]).
+    OrderedIndex {
+        /// Indexed label.
+        label: String,
+        /// Indexed property key.
+        key: String,
+        /// Walk from the largest key down.
+        descending: bool,
+    },
     /// Scan all nodes with a label.
     LabelScan(String),
     /// Scan every node.
     AllNodes,
+}
+
+/// The order a `MATCH`'s rows are consumed in, when only a prefix of them
+/// survives: the compiler attaches it to a first, lone `(var:L)` pattern
+/// whose projection sorts by `var.key` alone and then applies `LIMIT`,
+/// with nothing in between that could fail on a row a walk skips.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OrderBy {
+    /// The pattern variable.
+    pub var: String,
+    /// The property the projection sorts by.
+    pub key: String,
+    /// `ORDER BY … DESC`.
+    pub descending: bool,
 }
 
 /// An executable plan for one pattern part: the anchor, its node pattern,
@@ -65,10 +101,19 @@ pub struct PartPlan {
 ///
 /// `bound` lists variables bound by earlier clauses/parts; it is extended
 /// with the variables each planned part will bind, so later parts can
-/// anchor on them.
-pub fn plan_match(graph: &Graph, clause: &MatchClause, bound: &mut Vec<String>) -> Vec<PartPlan> {
+/// anchor on them. `order`, when given, is how the clause's rows will be
+/// consumed (see [`OrderBy`]).
+pub fn plan_match(
+    graph: &Graph,
+    clause: &MatchClause,
+    bound: &mut Vec<String>,
+    order: Option<&OrderBy>,
+) -> Vec<PartPlan> {
     let t0 = std::time::Instant::now();
-    let plans = plan_match_inner(graph, clause, bound);
+    let mut plans = plan_match_inner(graph, clause, bound);
+    if let (Some(order), [plan]) = (order, plans.as_mut_slice()) {
+        order_anchor(graph, plan, order);
+    }
     PLAN_NS.with(|c| c.set(c.get().wrapping_add(t0.elapsed().as_nanos() as u64)));
     plans
 }
@@ -103,6 +148,31 @@ fn plan_match_inner(graph: &Graph, clause: &MatchClause, bound: &mut Vec<String>
         plans.push(plan);
     }
     plans
+}
+
+/// Replaces a lone node pattern's label scan with an ordered index walk
+/// when the `(label, order.key)` index holds every member of the label
+/// under keys that order like their values — otherwise the walk would
+/// miss members without the key or visit them in a different order than
+/// the projection's sort.
+fn order_anchor(graph: &Graph, plan: &mut PartPlan, order: &OrderBy) {
+    let Anchor::LabelScan(label) = &plan.anchor else {
+        return;
+    };
+    let lone = plan.steps.is_empty() && plan.path_var.is_none() && !plan.shortest;
+    if !lone || plan.anchor_node.var.as_deref() != Some(order.var.as_str()) {
+        return;
+    }
+    let covered = graph
+        .index_key_stats(label, &order.key)
+        .is_some_and(|s| s.ids == graph.label_count(label) && s.orders_like_values());
+    if covered {
+        plan.anchor = Anchor::OrderedIndex {
+            label: label.clone(),
+            key: order.key.clone(),
+            descending: order.descending,
+        };
+    }
 }
 
 /// Plans a single pattern part given the currently bound variables.
@@ -151,7 +221,7 @@ fn score_node(
     // Indexed equality: inline props or WHERE predicates on this node's var.
     for label in &node.labels {
         for (key, expr) in &node.props {
-            if graph.has_index(label, key) && is_seekable(expr) {
+            if graph.has_index(label, key) && is_seekable(expr, bound) {
                 return (
                     1,
                     Anchor::IndexSeek {
@@ -164,7 +234,7 @@ fn score_node(
         }
         if let Some(var) = &node.var {
             for (pvar, key, expr) in eq_preds {
-                if pvar == var && graph.has_index(label, key) && is_seekable(expr) {
+                if pvar == var && graph.has_index(label, key) && is_seekable(expr, bound) {
                     return (
                         1,
                         Anchor::IndexSeek {
@@ -207,9 +277,18 @@ fn score_node(
     (2 + graph.node_count() as u64 * 4, Anchor::AllNodes)
 }
 
-/// An expression the anchor can evaluate without row context.
-fn is_seekable(expr: &Expr) -> bool {
-    matches!(expr, Expr::Lit(_) | Expr::Param(_))
+/// An expression a seek can key on: a literal or parameter, or a
+/// variable bound before the part (or a property of one), which the
+/// anchor evaluates against each incoming row. None of these can fail,
+/// and `bound` never holds the part's own variables, which do not exist
+/// yet when its anchor runs.
+fn is_seekable(expr: &Expr, bound: &[String]) -> bool {
+    match expr {
+        Expr::Lit(_) | Expr::Param(_) => true,
+        Expr::Var(v) => bound.contains(v),
+        Expr::Prop(base, _) => matches!(&**base, Expr::Var(v) if bound.contains(v)),
+        _ => false,
+    }
 }
 
 fn reverse_chain(part: &PatternPart) -> (NodePattern, Vec<(RelPattern, NodePattern)>) {
@@ -250,7 +329,9 @@ pub struct RangePred {
     pub hi: Option<(Expr, bool)>,
 }
 
-/// Collects `var.key = <seekable>` conjuncts from a WHERE tree.
+/// Collects `var.key = <expr>` conjuncts from a WHERE tree; whether a
+/// seek can key on `expr` depends on what is bound when each part is
+/// planned.
 pub fn extract_equality_predicates(expr: &Expr) -> Vec<(String, String, Expr)> {
     let mut out = Vec::new();
     collect_eq(expr, &mut out);
@@ -335,16 +416,12 @@ fn collect_eq(expr: &Expr, out: &mut Vec<(String, String, Expr)>) {
         Expr::Bin(BinOp::Eq, a, b) => {
             if let (Expr::Prop(base, key), rhs) = (&**a, &**b) {
                 if let Expr::Var(v) = &**base {
-                    if is_seekable(rhs) {
-                        out.push((v.clone(), key.clone(), rhs.clone()));
-                    }
+                    out.push((v.clone(), key.clone(), rhs.clone()));
                 }
             }
             if let (lhs, Expr::Prop(base, key)) = (&**a, &**b) {
                 if let Expr::Var(v) = &**base {
-                    if is_seekable(lhs) {
-                        out.push((v.clone(), key.clone(), lhs.clone()));
-                    }
+                    out.push((v.clone(), key.clone(), lhs.clone()));
                 }
             }
         }
@@ -397,7 +474,7 @@ mod tests {
         let g = graph_with_index();
         let m = first_match("MATCH (a:AS {asn: 7}) RETURN a");
         let mut bound = Vec::new();
-        let plans = plan_match(&g, &m, &mut bound);
+        let plans = plan_match(&g, &m, &mut bound, None);
         assert!(matches!(plans[0].anchor, Anchor::IndexSeek { .. }));
         assert_eq!(bound, vec!["a"]);
     }
@@ -406,7 +483,7 @@ mod tests {
     fn where_equality_uses_index() {
         let g = graph_with_index();
         let m = first_match("MATCH (a:AS) WHERE a.asn = 7 RETURN a");
-        let plans = plan_match(&g, &m, &mut Vec::new());
+        let plans = plan_match(&g, &m, &mut Vec::new(), None);
         assert!(matches!(plans[0].anchor, Anchor::IndexSeek { .. }));
     }
 
@@ -415,7 +492,7 @@ mod tests {
         let g = graph_with_index();
         // Start node is unlabeled (expensive), end is indexed: reverse.
         let m = first_match("MATCH (x)-[:COUNTRY]->(a:AS {asn: 7}) RETURN x");
-        let plans = plan_match(&g, &m, &mut Vec::new());
+        let plans = plan_match(&g, &m, &mut Vec::new(), None);
         assert!(plans[0].reversed);
         assert!(matches!(plans[0].anchor, Anchor::IndexSeek { .. }));
         // The reversed step's direction flips.
@@ -426,7 +503,7 @@ mod tests {
     fn bound_variable_beats_index() {
         let g = graph_with_index();
         let m = first_match("MATCH (a:AS {asn: 7}) RETURN a");
-        let plans = plan_match(&g, &m, &mut vec!["a".to_string()]);
+        let plans = plan_match(&g, &m, &mut vec!["a".to_string()], None);
         assert!(matches!(&plans[0].anchor, Anchor::Bound(v) if v == "a"));
     }
 
@@ -434,7 +511,7 @@ mod tests {
     fn label_scan_fallback() {
         let g = graph_with_index();
         let m = first_match("MATCH (c:Country) RETURN c");
-        let plans = plan_match(&g, &m, &mut Vec::new());
+        let plans = plan_match(&g, &m, &mut Vec::new(), None);
         assert!(matches!(&plans[0].anchor, Anchor::LabelScan(l) if l == "Country"));
     }
 
@@ -442,7 +519,7 @@ mod tests {
     fn all_nodes_last_resort() {
         let g = Graph::new();
         let m = first_match("MATCH (n) RETURN n");
-        let plans = plan_match(&g, &m, &mut Vec::new());
+        let plans = plan_match(&g, &m, &mut Vec::new(), None);
         assert_eq!(plans[0].anchor, Anchor::AllNodes);
     }
 
@@ -453,7 +530,7 @@ mod tests {
         let a = g.nodes_with_label("AS").next().unwrap();
         g.add_rel(a, "COUNTRY", c, Props::new()).unwrap();
         let m = first_match("MATCH (a:AS {asn: 1}), (a)-[:COUNTRY]->(c) RETURN c");
-        let plans = plan_match(&g, &m, &mut Vec::new());
+        let plans = plan_match(&g, &m, &mut Vec::new(), None);
         assert!(matches!(&plans[1].anchor, Anchor::Bound(v) if v == "a"));
     }
 }

@@ -191,7 +191,7 @@ fn planner_chooses_range_seek() {
         iyp_cypher::ast::Clause::Match(m) => m,
         other => panic!("{other:?}"),
     };
-    let plans = plan_match(&g, m, &mut Vec::new());
+    let plans = plan_match(&g, m, &mut Vec::new(), None);
     assert!(
         matches!(plans[0].anchor, Anchor::RangeSeek { .. }),
         "got {:?}",

@@ -13,7 +13,7 @@
 //! tables — microseconds, independent of graph size — and mutating a
 //! clone path-copies only the pages the mutation touches.
 
-use crate::index::{IndexSet, OrderedIndex};
+use crate::index::{IndexKeyStats, IndexSet};
 use crate::intern::{Interner, Sym};
 use crate::page::{LabelSet, PagedVec};
 use crate::props::Props;
@@ -749,7 +749,9 @@ impl Graph {
         hits
     }
 
-    /// Range scan over an ordered view of the index (built lazily).
+    /// Range scan over the index: the ids under keys within the bounds,
+    /// in key order. Each call merges the hash partitions' sorted ranges
+    /// (see [`crate::index`]); no ordered copy is kept between calls.
     pub fn index_range(
         &self,
         label: &str,
@@ -787,10 +789,28 @@ impl Graph {
             .collect()
     }
 
-    /// Builds an ordered index usable for fast range queries.
-    pub fn ordered_index(&self, label: &str, key: &str) -> Option<OrderedIndex> {
+    /// Every id in the `(label, key)` index in key order, descending when
+    /// `descending`, ids ascending within a key. The walk is lazy: it
+    /// charges one db hit up front and one per id yielded, so a caller
+    /// that stops after `k` ids pays `1 + k`, the same as an exact seek
+    /// returning `k` ids. `None` when no such index exists.
+    pub fn index_walk(
+        &self,
+        label: &str,
+        key: &str,
+        descending: bool,
+    ) -> Option<impl Iterator<Item = NodeId> + '_> {
         let sym = self.labels.get(label)?;
-        self.indexes.ordered(sym, key)
+        let ids = self.indexes.walk(sym, key, descending)?;
+        crate::dbhits::add(1);
+        Some(ids.inspect(|_| crate::dbhits::add(1)))
+    }
+
+    /// The `(label, key)` index's ids counted by key class (O(1); see
+    /// [`IndexKeyStats`]). `None` when no such index exists.
+    pub fn index_key_stats(&self, label: &str, key: &str) -> Option<IndexKeyStats> {
+        let sym = self.labels.get(label)?;
+        self.indexes.key_stats(sym, key)
     }
 
     // ------------------------------------------------------------------

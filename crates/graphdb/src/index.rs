@@ -1,9 +1,11 @@
 //! Property indexes.
 //!
 //! A hash index maps `(label, property key)` → value → node ids, giving O(1)
-//! exact-match seeks for queries like `MATCH (a:AS {asn: 2497})`. An ordered
-//! view can be derived for range predicates. Indexes are maintained
-//! incrementally by [`crate::graph::Graph`] on every mutation.
+//! exact-match seeks for queries like `MATCH (a:AS {asn: 2497})`. Range
+//! scans and ordered walks merge the partitions' sorted heads lazily (see
+//! [`IndexSet::walk`]), so no second, sorted copy of an index is ever
+//! kept. Indexes are maintained incrementally by [`crate::graph::Graph`]
+//! on every mutation.
 //!
 //! Storage is partitioned for copy-on-write cloning: each index's entries
 //! are split across power-of-two hash partitions held behind `Arc`s, so
@@ -20,8 +22,10 @@ use crate::intern::Sym;
 use crate::props::Props;
 use crate::value::ValueKey;
 use serde::{Content, Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::btree_map;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -36,6 +40,56 @@ use std::sync::Arc;
 /// comparison.
 const RESHARD_TARGET: usize = 8;
 
+/// Indexed node ids of an index, counted by the class of their key.
+///
+/// Maintained in O(1) per index update, so a planner can ask whether a
+/// walk of the index in key order is also a walk in value order:
+/// `ValueKey`'s derived `Ord` agrees with [`crate::Value::order_key_cmp`]
+/// among integer keys of magnitude at most 2^53 (beyond that, the value
+/// order compares as `f64` and ties distinct integers), and among string
+/// keys. Float keys order by bit pattern and mixed classes by variant, so
+/// an index holding any of those never qualifies.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IndexKeyStats {
+    /// Node ids in the index.
+    pub ids: usize,
+    /// Ids under an integer key `i` with `|i| <= 2^53`.
+    pub exact_int_ids: usize,
+    /// Ids under a string key.
+    pub str_ids: usize,
+}
+
+impl IndexKeyStats {
+    /// Do all ids sit under keys whose `ValueKey` order is their value
+    /// order ([`crate::Value::order_key_cmp`])?
+    pub fn orders_like_values(&self) -> bool {
+        self.exact_int_ids == self.ids || self.str_ids == self.ids
+    }
+
+    /// The per-class counter of `key`, if its class has one.
+    fn class(&mut self, key: &ValueKey) -> Option<&mut usize> {
+        match key {
+            ValueKey::Int(i) if i.unsigned_abs() <= 1 << 53 => Some(&mut self.exact_int_ids),
+            ValueKey::Str(_) => Some(&mut self.str_ids),
+            _ => None,
+        }
+    }
+
+    fn add(&mut self, key: &ValueKey, n: usize) {
+        self.ids += n;
+        if let Some(c) = self.class(key) {
+            *c += n;
+        }
+    }
+
+    fn sub(&mut self, key: &ValueKey, n: usize) {
+        self.ids -= n;
+        if let Some(c) = self.class(key) {
+            *c -= n;
+        }
+    }
+}
+
 /// One hash index over `(label, key)`, hash-partitioned by value key.
 #[derive(Debug, Clone)]
 struct HashIndex {
@@ -44,6 +98,8 @@ struct HashIndex {
     partitions: Vec<Arc<BTreeMap<ValueKey, Vec<NodeId>>>>,
     /// Total distinct keys across partitions, driving resharding.
     keys: usize,
+    /// Ids per key class.
+    stats: IndexKeyStats,
 }
 
 impl Default for HashIndex {
@@ -51,6 +107,7 @@ impl Default for HashIndex {
         HashIndex {
             partitions: vec![Arc::new(BTreeMap::new())],
             keys: 0,
+            stats: IndexKeyStats::default(),
         }
     }
 }
@@ -69,9 +126,9 @@ impl HashIndex {
         let p = partition_of(&key, self.partitions.len());
         let part = Arc::make_mut(&mut self.partitions[p]);
         let new_key = !part.contains_key(&key);
-        let bucket = part.entry(key).or_default();
-        if let Err(pos) = bucket.binary_search(&id) {
-            bucket.insert(pos, id);
+        if let Err(pos) = part.get(&key).map_or(Err(0), |b| b.binary_search(&id)) {
+            self.stats.add(&key, 1);
+            part.entry(key).or_default().insert(pos, id);
         }
         if new_key {
             self.keys += 1;
@@ -94,6 +151,7 @@ impl HashIndex {
             .expect("checked above");
         let pos = bucket.binary_search(&id).expect("checked above");
         bucket.remove(pos);
+        self.stats.sub(key, 1);
         // The bucket stays (possibly empty): lookups on a once-indexed key
         // must keep answering `Some(vec![])`, not "no index".
     }
@@ -116,19 +174,103 @@ impl HashIndex {
         self.partitions = parts.into_iter().map(Arc::new).collect();
     }
 
-    /// All `(key, ids)` pairs with keys in `[lo, hi]`, ordered by key.
-    fn range_pairs(
-        &self,
+    /// The `(key, ids)` pairs with keys within `(lo, hi)`, in key order
+    /// (descending when `descending`), produced lazily by a k-way merge
+    /// over the partitions' sorted heads: O(partitions) to start, then
+    /// O(log partitions) per pair yielded.
+    fn walk<'a>(
+        &'a self,
         lo: Bound<&ValueKey>,
         hi: Bound<&ValueKey>,
-    ) -> Vec<(&ValueKey, &Vec<NodeId>)> {
-        let mut pairs: Vec<(&ValueKey, &Vec<NodeId>)> = self
+        descending: bool,
+    ) -> Walk<'a> {
+        let mut ranges: Vec<btree_map::Range<'a, ValueKey, Vec<NodeId>>> = self
             .partitions
             .iter()
-            .flat_map(|p| p.range::<ValueKey, _>((lo, hi)))
+            .map(|p| p.range::<ValueKey, _>((lo, hi)))
             .collect();
-        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        pairs
+        let heads = ranges
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(part, r)| Head::next(r, part, descending))
+            .collect::<Vec<_>>()
+            .into();
+        Walk {
+            ranges,
+            heads,
+            descending,
+        }
+    }
+}
+
+/// The next unyielded pair of one partition, ordered so the
+/// [`BinaryHeap`] (a max-heap) pops the next pair of the walk: the
+/// smallest key first, or the largest when descending. Keys are distinct
+/// across partitions, so the key alone orders heads.
+struct Head<'a> {
+    key: &'a ValueKey,
+    ids: &'a Vec<NodeId>,
+    part: usize,
+    descending: bool,
+}
+
+impl<'a> Head<'a> {
+    fn next(
+        r: &mut btree_map::Range<'a, ValueKey, Vec<NodeId>>,
+        part: usize,
+        descending: bool,
+    ) -> Option<Head<'a>> {
+        let (key, ids) = if descending { r.next_back() } else { r.next() }?;
+        Some(Head {
+            key,
+            ids,
+            part,
+            descending,
+        })
+    }
+}
+
+impl PartialEq for Head<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Head<'_> {}
+
+impl PartialOrd for Head<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Head<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let c = self.key.cmp(other.key);
+        if self.descending {
+            c
+        } else {
+            c.reverse()
+        }
+    }
+}
+
+/// A lazy ordered walk over one index (see [`HashIndex::walk`]).
+struct Walk<'a> {
+    ranges: Vec<btree_map::Range<'a, ValueKey, Vec<NodeId>>>,
+    heads: BinaryHeap<Head<'a>>,
+    descending: bool,
+}
+
+impl<'a> Iterator for Walk<'a> {
+    type Item = (&'a ValueKey, &'a Vec<NodeId>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let head = self.heads.pop()?;
+        if let Some(next) = Head::next(&mut self.ranges[head.part], head.part, self.descending) {
+            self.heads.push(next);
+        }
+        Some((head.key, head.ids))
     }
 }
 
@@ -137,7 +279,9 @@ impl Serialize for HashIndex {
     /// layout the pre-partitioned store wrote (`{"entries": [[k, ids]…]}`),
     /// so snapshot files carry no partition geometry.
     fn serialize(&self) -> Content {
-        let pairs = self.range_pairs(Bound::Unbounded, Bound::Unbounded);
+        let pairs: Vec<_> = self
+            .walk(Bound::Unbounded, Bound::Unbounded, false)
+            .collect();
         Content::Map(vec![("entries".to_string(), Serialize::serialize(&pairs))])
     }
 }
@@ -162,9 +306,12 @@ impl HashIndex {
     /// leaves behind and snapshots faithfully persist.
     fn bulk_insert(&mut self, key: ValueKey, ids: Vec<NodeId>) {
         let p = partition_of(&key, self.partitions.len());
-        let new_key = !self.partitions[p].contains_key(&key);
-        Arc::make_mut(&mut self.partitions[p]).insert(key, ids);
-        if new_key {
+        self.stats.add(&key, ids.len());
+        let replaced = Arc::make_mut(&mut self.partitions[p]).insert(key.clone(), ids);
+        if let Some(old) = &replaced {
+            self.stats.sub(&key, old.len());
+        }
+        if replaced.is_none() {
             self.keys += 1;
             if self.keys > self.partitions.len() * RESHARD_TARGET {
                 self.reshard();
@@ -202,49 +349,6 @@ fn key_heap_bytes(k: &ValueKey) -> usize {
                 .sum(),
             _ => 0,
         }
-}
-
-/// An ordered snapshot of an index, for repeated range scans.
-#[derive(Debug, Clone)]
-pub struct OrderedIndex {
-    entries: Vec<(ValueKey, NodeId)>,
-}
-
-impl OrderedIndex {
-    /// Nodes whose key falls in `[lo, hi]` under the given inclusivity.
-    pub fn range(
-        &self,
-        lo: Option<(&ValueKey, bool)>,
-        hi: Option<(&ValueKey, bool)>,
-    ) -> Vec<NodeId> {
-        self.entries
-            .iter()
-            .filter(|(k, _)| {
-                let above = match lo {
-                    None => true,
-                    Some((l, true)) => k >= l,
-                    Some((l, false)) => k > l,
-                };
-                let below = match hi {
-                    None => true,
-                    Some((h, true)) => k <= h,
-                    Some((h, false)) => k < h,
-                };
-                above && below
-            })
-            .map(|(_, id)| *id)
-            .collect()
-    }
-
-    /// Number of indexed entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the index holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// The set of all indexes on a graph.
@@ -314,10 +418,32 @@ impl IndexSet {
             Some((k, false)) => Bound::Excluded(k),
         };
         let mut out = Vec::new();
-        for (_, ids) in self.indexes[i].1.range_pairs(lo_bound, hi_bound) {
+        for (_, ids) in self.indexes[i].1.walk(lo_bound, hi_bound, false) {
             out.extend(ids.iter().copied());
         }
         Some(out)
+    }
+
+    /// Every indexed node id in key order (descending when `descending`),
+    /// ids ascending within a key; lazily merged, so a caller that stops
+    /// early pays only for what it took. `None` if no such index.
+    pub fn walk(
+        &self,
+        label: Sym,
+        key: &str,
+        descending: bool,
+    ) -> Option<impl Iterator<Item = NodeId> + '_> {
+        let i = self.slot(label, key)?;
+        let pairs = self.indexes[i]
+            .1
+            .walk(Bound::Unbounded, Bound::Unbounded, descending);
+        Some(pairs.flat_map(|(_, ids)| ids.iter().copied()))
+    }
+
+    /// The index's ids counted by key class; `None` if no such index.
+    pub fn key_stats(&self, label: Sym, key: &str) -> Option<IndexKeyStats> {
+        let i = self.slot(label, key)?;
+        Some(self.indexes[i].1.stats)
     }
 
     /// Does an index exist?
@@ -328,21 +454,6 @@ impl IndexSet {
     /// All `(label, key)` pairs.
     pub fn list(&self) -> Vec<(Sym, String)> {
         self.indexes.iter().map(|(k, _)| k.clone()).collect()
-    }
-
-    /// Ordered snapshot for repeated range scans.
-    pub fn ordered(&self, label: Sym, key: &str) -> Option<OrderedIndex> {
-        let i = self.slot(label, key)?;
-        let mut entries = Vec::new();
-        for (k, ids) in self.indexes[i]
-            .1
-            .range_pairs(Bound::Unbounded, Bound::Unbounded)
-        {
-            for id in ids {
-                entries.push((k.clone(), *id));
-            }
-        }
-        Some(OrderedIndex { entries })
     }
 
     /// Load-time check (see `GraphPayload::validate` in `graph.rs`):
@@ -529,21 +640,99 @@ mod tests {
     }
 
     #[test]
-    fn ordered_view_ranges() {
+    fn walk_merges_partitions_in_key_order_both_ways() {
         let mut set = IndexSet::default();
+        // Three ids per key, inserted out of order, over many partitions.
         set.create(
             Sym(0),
             "rank",
-            (1..=5).map(|i| (NodeId(i), ValueKey::of(&Value::Int(i as i64 * 10)))),
+            (0..600u64)
+                .rev()
+                .map(|i| (NodeId(i), ValueKey::of(&Value::Int((i % 200) as i64)))),
         );
-        let ord = set.ordered(Sym(0), "rank").unwrap();
-        assert_eq!(ord.len(), 5);
+        assert!(set.partition_count() > 1);
+        let asc: Vec<NodeId> = set.walk(Sym(0), "rank", false).unwrap().collect();
+        let want: Vec<NodeId> = (0..200u64)
+            .flat_map(|k| [k, k + 200, k + 400])
+            .map(NodeId)
+            .collect();
+        assert_eq!(asc, want, "keys ascending, ids ascending within a key");
+        let desc: Vec<NodeId> = set.walk(Sym(0), "rank", true).unwrap().collect();
+        let want: Vec<NodeId> = (0..200u64)
+            .rev()
+            .flat_map(|k| [k, k + 200, k + 400])
+            .map(NodeId)
+            .collect();
+        assert_eq!(desc, want, "keys descending, ids still ascending");
+        assert_eq!(set.walk(Sym(0), "rank", true).unwrap().take(4).count(), 4);
+        assert!(set.walk(Sym(1), "rank", false).is_none());
         let k20 = ValueKey::of(&Value::Int(20));
-        let k40 = ValueKey::of(&Value::Int(40));
+        let k22 = ValueKey::of(&Value::Int(22));
         assert_eq!(
-            ord.range(Some((&k20, false)), Some((&k40, true))),
-            vec![NodeId(3), NodeId(4)]
+            set.range(Sym(0), "rank", Some((k20, false)), Some((k22, true))),
+            Some([21, 221, 421, 22, 222, 422].map(NodeId).to_vec())
         );
+    }
+
+    #[test]
+    fn key_stats_track_every_update() {
+        let mut set = IndexSet::default();
+        let key = |v: Value| ValueKey::of(&v);
+        set.create(
+            Sym(0),
+            "k",
+            (0..20u64).map(|i| (NodeId(i), key(Value::Int(i as i64)))),
+        );
+        let stats = |set: &IndexSet| set.key_stats(Sym(0), "k").unwrap();
+        assert_eq!(
+            stats(&set),
+            IndexKeyStats {
+                ids: 20,
+                exact_int_ids: 20,
+                str_ids: 0
+            }
+        );
+        assert!(stats(&set).orders_like_values());
+        // A whole float keys as an integer; a fractional one does not.
+        set.on_prop_changed(
+            NodeId(1),
+            &[Sym(0)],
+            "k",
+            Some(&Value::Int(1)),
+            &Value::Float(7.0),
+        );
+        assert!(stats(&set).orders_like_values());
+        set.on_prop_changed(
+            NodeId(2),
+            &[Sym(0)],
+            "k",
+            Some(&Value::Int(2)),
+            &Value::Float(2.5),
+        );
+        assert!(!stats(&set).orders_like_values());
+        set.on_node_removed(NodeId(2), &[Sym(0)], &crate::props!("k" => 2.5));
+        assert_eq!(stats(&set).ids, 19);
+        assert!(stats(&set).orders_like_values());
+        // Integers past 2^53 tie under the f64 value order.
+        set.on_node_added(
+            NodeId(50),
+            &[Sym(0)],
+            &crate::props!("k" => (1i64 << 53) + 1),
+        );
+        assert!(!stats(&set).orders_like_values());
+        set.on_node_removed(
+            NodeId(50),
+            &[Sym(0)],
+            &crate::props!("k" => (1i64 << 53) + 1),
+        );
+        // Re-adding an indexed id is a no-op; so is removing a missing one.
+        set.on_node_added(NodeId(3), &[Sym(0)], &crate::props!("k" => 3i64));
+        set.on_node_removed(NodeId(99), &[Sym(0)], &crate::props!("k" => 3i64));
+        assert_eq!(stats(&set).ids, 19);
+        // Reload rebuilds the counters from the buckets.
+        let back: IndexSet =
+            serde::Deserialize::deserialize(&serde::Serialize::serialize(&set)).unwrap();
+        assert_eq!(back.key_stats(Sym(0), "k"), Some(stats(&set)));
     }
 
     #[test]

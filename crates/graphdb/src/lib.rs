@@ -40,6 +40,7 @@ pub mod wal;
 
 pub use delta::{AppliedDelta, DeltaBatch, DeltaError, DeltaOp, NodeRef};
 pub use graph::{Direction, Graph, GraphError, NodeId, NodeRecord, RelId, RelRecord};
+pub use index::IndexKeyStats;
 pub use intern::{Interner, Sym};
 pub use page::{LabelSet, PagedVec, PAGE_SIZE};
 pub use props::Props;

@@ -55,6 +55,8 @@ pub struct AppState {
     /// full. Lives here (not in the pipeline's registry) because sheds
     /// can happen before any pipeline is published.
     shed: AtomicU64,
+    /// Requests whose handler panicked (answered `500`).
+    panics: AtomicU64,
 }
 
 impl AppState {
@@ -72,6 +74,7 @@ impl AppState {
         AppState {
             chat: OnceLock::new(),
             shed: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
         }
     }
 
@@ -94,6 +97,16 @@ impl AppState {
     /// How many connections have been shed since startup.
     pub fn shed_count(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
+    }
+
+    /// Counts one request whose handler panicked.
+    pub fn note_panic(&self) {
+        self.panics.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// How many request handlers have panicked since startup.
+    pub fn panic_count(&self) -> u64 {
+        self.panics.load(Ordering::Relaxed)
     }
 }
 
@@ -474,6 +487,11 @@ fn handle_metrics(state: &AppState, chat: &ChatIyp, handle: &RetrievalHandle) ->
             "chatiyp_shed_total",
             "Connections shed with 429 because the admission queue was full.",
             state.shed_count(),
+        ),
+        (
+            "chatiyp_panics_total",
+            "Requests whose handler panicked; each was answered 500 and its connection closed.",
+            state.panic_count(),
         ),
     ] {
         writeln!(

@@ -6,6 +6,7 @@ use crate::http::{HttpError, Response};
 use chatiyp_core::ChatIyp;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -238,7 +239,8 @@ fn worker_loop(
 
 /// Serves one connection: keep-alive loop with a per-connection buffered
 /// reader (so pipelined request bytes survive between reads), bounded by
-/// [`crate::http::MAX_REQUESTS_PER_CONN`].
+/// [`crate::http::MAX_REQUESTS_PER_CONN`]. A request whose handler panics
+/// is answered `500` and ends the connection; the worker lives on.
 fn serve_connection(stream: TcpStream, state: &AppState) {
     use crate::http::{read_request_buffered, MAX_REQUESTS_PER_CONN};
     let mut reader = std::io::BufReader::new(stream);
@@ -247,7 +249,17 @@ fn serve_connection(stream: TcpStream, state: &AppState) {
         let (response, keep_alive) = match parsed {
             Ok(req) => {
                 let keep = req.wants_keep_alive() && served + 1 < MAX_REQUESTS_PER_CONN;
-                (handle(state, &req), keep)
+                // A panicking handler (an engine bug, or a panic re-raised
+                // from a morsel worker) costs its request, not the worker
+                // thread: answer 500 and close the connection.
+                match std::panic::catch_unwind(AssertUnwindSafe(|| handle(state, &req))) {
+                    Ok(resp) => (resp, keep),
+                    Err(_) => {
+                        state.note_panic();
+                        let body = r#"{"error":"internal error"}"#.as_bytes().to_vec();
+                        (Response::json(500, body), false)
+                    }
+                }
             }
             Err(HttpError::TooLarge) => (
                 Response::json(413, r#"{"error":"body too large"}"#.as_bytes().to_vec()),
@@ -378,6 +390,58 @@ mod tests {
         }
         let reply = post("RETURN 1 AS one");
         assert!(reply.starts_with("HTTP/1.1 200"), "reply: {reply}");
+        server.shutdown();
+    }
+
+    /// Three requests that panic in their handler (the injected `panic`
+    /// fault point) outnumber the two workers; each gets a 500, the
+    /// panics are counted, and the pool still answers afterwards.
+    #[test]
+    fn panicking_requests_do_not_kill_workers() {
+        use chatiyp_core::{FaultPlan, FaultPoint, FaultRule, ResilienceConfig};
+        let plan = FaultPlan::new(7).rule(FaultPoint::Panic, FaultRule::window(0, 3));
+        let chat = ChatIyp::new(
+            generate(&IypConfig::tiny()),
+            ChatIypConfig {
+                resilience: ResilienceConfig {
+                    faults: Some(plan.into_arc()),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        let server = Server::start(
+            chat,
+            ServerConfig {
+                addr: "127.0.0.1:0".parse().unwrap(),
+                workers: 2,
+                read_timeout: Duration::from_secs(2),
+                ..Default::default()
+            },
+        )
+        .expect("server starts");
+        let post = |path: &str, body: &str| {
+            let raw = format!(
+                "POST {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            let mut s = TcpStream::connect(server.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            s.write_all(raw.as_bytes()).unwrap();
+            let mut out = String::new();
+            let _ = s.read_to_string(&mut out);
+            out
+        };
+        let one = r#"{"query":"RETURN 1 AS one"}"#;
+        for _ in 0..3 {
+            let reply = post("/cypher", one);
+            assert!(reply.starts_with("HTTP/1.1 500"), "reply: {reply}");
+        }
+        let reply = post("/cypher", one);
+        assert!(reply.starts_with("HTTP/1.1 200"), "reply: {reply}");
+        let raw = "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n";
+        let metrics = request(server.addr(), raw);
+        assert!(metrics.contains("\nchatiyp_panics_total 3\n"), "{metrics}");
         server.shutdown();
     }
 
